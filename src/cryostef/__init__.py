@@ -20,7 +20,7 @@ from .errors import (
     SingularJacobian,
 )
 from .grid import Grid1D, StiffnessAssembly, assemble
-from .play import ConstraintInterval, PlayState, constrained_ode_step, drive_play, play_step, resolvent
+from .play import ConstraintInterval, drive_play, play_step, resolvent
 from .solve import SolverOptions, StepReport
 from .stepper import Closure, TimeState, advance
 
@@ -39,7 +39,6 @@ __all__ = [
     "InfeasibleState",
     "InvalidBounds",
     "NonConvergence",
-    "PlayState",
     "ScaledMaterial",
     "SingularJacobian",
     "SolverOptions",
@@ -51,7 +50,6 @@ __all__ = [
     "calibrate_envelope",
     "capacity_energy",
     "conductivity",
-    "constrained_ode_step",
     "drive_play",
     "equilibrium_fraction",
     "play_step",

@@ -22,7 +22,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,15 +152,14 @@ def _pde_diagnostics(run):
     return solvers.contraction_diagnostic(problem, probe_fn=probe)
 
 
-def run_pde(cfg, opts, out_dir, strict_init=False, quiet=False):
+def run_pde(cfg, opts, out_dir, strict_init=False):
     run = simulate_pde(cfg, opts, strict_init=strict_init)
-    if not quiet:
-        diag = _pde_diagnostics(run)
-        print(
-            "contraction diagnostics: "
-            f"L_A~{diag['lipschitz_estimate']:.4g} kappa0~{diag['coercivity_estimate']:.4g} "
-            f"lag-bound {diag['alag_bound']:.4g} fixed-point-bound {diag['fixed_point_bound']:.4g}"
-        )
+    diag = _pde_diagnostics(run)
+    print(
+        "contraction diagnostics: "
+        f"L_A~{diag['lipschitz_estimate']:.4g} kappa0~{diag['coercivity_estimate']:.4g} "
+        f"lag-bound {diag['alag_bound']:.4g} fixed-point-bound {diag['fixed_point_bound']:.4g}"
+    )
     write_pde_outputs(run, out_dir)
     return run
 
@@ -324,18 +322,10 @@ def trajectory_errors(coarse, fine, tau_coarse, tau_fine):
 def convergence_study(cfg, opts, out_dir, strict_init=False):
     """Sweep coarse step sizes against the fine reference run."""
     taus = tuple(sorted(cfg.taus, reverse=True))
-    workers = int(os.environ.get("CRYOSTEF_THREADS", "1"))
-
-    def run_at(tau):
+    runs = {}
+    for tau in taus + (cfg.tau_fine,):
         _, u, chi = simulate_ode_coupled(cfg, opts, tau=tau, strict_init=strict_init)
-        return u, chi
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {tau: pool.submit(run_at, tau) for tau in taus + (cfg.tau_fine,)}
-            runs = {tau: futures[tau].result() for tau in futures}
-    else:
-        runs = {tau: run_at(tau) for tau in taus + (cfg.tau_fine,)}
+        runs[tau] = u, chi
 
     fine = runs[cfg.tau_fine]
     errors = {tau: trajectory_errors(runs[tau], fine, tau, cfg.tau_fine) for tau in taus}
@@ -417,7 +407,7 @@ def _build_parser():
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--strict-init", action="store_true", help="reject infeasible initial data")
-        p.add_argument("--solver", choices=("newton-alag", "fixed-point"), default="newton-alag")
+        p.add_argument("--solver", choices=solvers.STRATEGIES, default=solvers.NEWTON_ALAG)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", type=int, default=20)
     return parser

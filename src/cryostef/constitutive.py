@@ -52,8 +52,8 @@ class ScaledMaterial:
     """Scaled heat-capacity/conductivity coefficients and curve steepness.
 
     All coefficients are already divided by the latent-heat/porosity
-    factor (see :func:`from_physical`), so the energy density is
-    ``c(u) + chi`` with ``chi`` the dimensionless liquid fraction.
+    factor, so the energy density is ``c(u) + chi`` with ``chi`` the
+    dimensionless liquid fraction.
     """
 
     b: float
@@ -67,16 +67,6 @@ class ScaledMaterial:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-
-
-def from_physical(b, c_u, c_f, k_u, k_f, latent_heat, porosity, k_time_factor=1.0):
-    """Scale physical capacities/conductivities by 1/(porosity*latent_heat).
-
-    ``k_time_factor`` premultiplies the conductivities to express the time
-    variable in a convenient unit (e.g. 1e6 seconds per time unit).
-    """
-    s = 1.0 / (porosity * latent_heat)
-    return ScaledMaterial(b, c_u * s, c_f * s, k_time_factor * k_u * s, k_time_factor * k_f * s)
 
 
 def capacity_energy(u, m):

@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import InfeasibleState, InvalidBounds
 
-# Sentinel bounds standing in for an unconstrained graph; one code path.
-UNBOUNDED_LIMIT = 1e300
-
 # Slack allowed when checking that an incoming state obeys its interval.
 FEASIBILITY_SLACK = 1e-12
 
@@ -34,44 +31,9 @@ class ConstraintInterval:
             raise InvalidBounds(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
 
-UNBOUNDED = ConstraintInterval(-UNBOUNDED_LIMIT, UNBOUNDED_LIMIT)
-
-
 def resolvent(interval, s):
     """Clamp ``s`` onto the interval; idempotent and non-expansive."""
     return np.clip(s, interval.lo, interval.hi)
-
-
-def resolvent_derivative(interval, s):
-    """Derivative selection for the clamp: 1 strictly inside, 0 on either bound."""
-    s = np.asarray(s, dtype=float)
-    return np.where((s > interval.lo) & (s < interval.hi), 1.0, 0.0)
-
-
-@dataclass
-class PlayState:
-    """Current play output plus the last minimal-norm selection (1/time)."""
-
-    v: float
-    selection: float = 0.0
-
-
-def constrained_ode_step(state, interval, tau, f_n):
-    """One implicit step of dv/dt + C(v) ∋ f with a fixed interval graph.
-
-    Returns the clamped update and the unique minimal-norm selection that
-    makes the implicit step identity hold; the selection vanishes whenever
-    the update lands strictly inside the interval.
-    """
-    if tau <= 0.0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    if state.v < interval.lo - FEASIBILITY_SLACK or state.v > interval.hi + FEASIBILITY_SLACK:
-        raise InfeasibleState(
-            f"state {state.v} outside interval [{interval.lo}, {interval.hi}]"
-        )
-    s = state.v + tau * f_n
-    v_new = float(resolvent(interval, s))
-    return PlayState(v=v_new, selection=(s - v_new) / tau)
 
 
 def play_step(v_prev, alpha, beta):
@@ -118,7 +80,7 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     for n in range(1, n_steps + 1):
         t = n * tau
         u = float(u_schedule(t))
-        beta = max(float(env.upper(u_prev)) - float(env.lower(u_prev)), 0.0)
+        beta = float(env.gap(u_prev))
         f_u = float(env.lower(u))
         chi = f_u + play_step(chi - f_u, 0.0, beta)
         rows[n - 1] = (t, u, chi)

@@ -1,16 +1,14 @@
 """Nonlinear solvers for the per-step implicit systems.
 
-Three strategies are available.  The default ("newton-alag") freezes the
+Two strategies are available.  The default ("newton-alag") freezes the
 diffusion matrix at the latest outer iterate and runs a semismooth Newton
 inner loop on the remaining monotone nonlinearity; the outer loop is
 declared converged only when the residual with the matrix re-evaluated at
 the current iterate meets the tolerance.  "fixed-point" lags both the
 fraction term and the matrix and sweeps a linearized capacity solve; it
-contracts only for mild data and is kept as a baseline.  "newton-frozen-a"
-runs Newton on the true residual but omits the matrix derivative from the
-Jacobian (the matrix is refreshed every iterate).
+contracts only for mild data and is kept as a baseline.
 
-All strategies are deterministic: identical inputs produce bit-identical
+Both strategies are deterministic: identical inputs produce bit-identical
 iterates.
 """
 
@@ -26,7 +24,7 @@ from .errors import Divergence, NonConvergence, SingularJacobian
 
 NEWTON_ALAG = "newton-alag"
 FIXED_POINT = "fixed-point"
-NEWTON_FROZEN_A = "newton-frozen-a"
+STRATEGIES = (NEWTON_ALAG, FIXED_POINT)
 
 # Saturation value of the fraction term, used in the a-priori iterate bound.
 FRACTION_SUP = 1.0
@@ -44,6 +42,11 @@ class SolverOptions:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ValueError("iteration caps must be at least 1")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown solver strategy {self.strategy!r}; "
+                f"expected one of {', '.join(STRATEGIES)}"
+            )
 
 
 @dataclass
@@ -54,14 +57,6 @@ class StepReport:
     inner_iters_total: int
     residual_history: list = field(default_factory=list)
     converged: bool = False
-
-
-def tridiag_matvec(diag, off, x):
-    y = diag * x
-    if off.size:
-        y[:-1] += off * x[1:]
-        y[1:] += off * x[:-1]
-    return y
 
 
 def thomas_solve(diag, off, rhs):
@@ -158,18 +153,6 @@ def double_iteration(problem, opts):
     )
 
 
-def newton_true_residual(problem, opts):
-    """Newton on the true residual, matrix refreshed but not differentiated."""
-
-    def residual_fn(u):
-        return problem.residual(u, problem.assemble(u))
-
-    def jacobian_fn(u):
-        return problem.jacobian(u, problem.assemble(u))
-
-    return newton_frozen_a(residual_fn, jacobian_fn, problem.initial_guess, opts)
-
-
 def fixed_point_monolithic(problem, opts):
     """Monolithic fixed point lagging both the fraction term and the matrix.
 
@@ -235,8 +218,6 @@ def solve_step(problem, opts):
         return double_iteration(problem, opts)
     if opts.strategy == FIXED_POINT:
         return fixed_point_monolithic(problem, opts)
-    if opts.strategy == NEWTON_FROZEN_A:
-        return newton_true_residual(problem, opts)
     raise ValueError(f"unknown solver strategy {opts.strategy!r}")
 
 

@@ -86,20 +86,14 @@ class TimeState:
     beta: np.ndarray | None = None
 
 
-def hysteresis_gap(closure, u_prev):
-    """Envelope gap evaluated at the previous temperatures (the lag)."""
-    env = closure.envelope
-    return np.maximum(env.upper(u_prev) - env.lower(u_prev), 0.0)
-
-
 def closure_fraction(closure, u, upsilon_prev, beta, tau, material):
     """Fraction update of the active closure at candidate temperatures ``u``."""
     f = equilibrium_fraction(u, material.b)
     if closure.kind == EQ:
         return f
     if closure.kind == NEQ:
-        b_bar = 1.0 / (1.0 + tau * closure.rate)
-        return (1.0 - b_bar) * f + b_bar * upsilon_prev
+        w = 1.0 / (1.0 + tau * closure.rate)
+        return (1.0 - w) * f + w * upsilon_prev
     if np.any(np.asarray(beta) < 0.0):
         raise InvalidBounds("negative envelope gap")
     return f + np.clip(upsilon_prev - f, 0.0, beta)
@@ -112,30 +106,11 @@ def _closure_slope(closure, u, upsilon_prev, beta, tau, material):
     if closure.kind == EQ:
         return fp
     if closure.kind == NEQ:
-        b_bar = 1.0 / (1.0 + tau * closure.rate)
-        return (1.0 - b_bar) * fp
+        w = 1.0 / (1.0 + tau * closure.rate)
+        return (1.0 - w) * fp
     s = upsilon_prev - equilibrium_fraction(u, material.b)
     interior = (s > 0.0) & (s < beta)
     return np.where(interior, 0.0, fp)
-
-
-def step_residual(u, prev, closure, asm, f_n, tau, material):
-    """Residual whose root is the accepted temperature of the step."""
-    beta = hysteresis_gap(closure, prev.u) if closure.kind == HYST else None
-    rhs = tau * np.asarray(f_n, dtype=float) + capacity_energy(prev.u, material) + prev.upsilon
-    y = closure_fraction(closure, u, prev.upsilon, beta, tau, material)
-    return capacity_energy(u, material) + y + tau * (asm.matvec(u) - asm.bc_rhs) - rhs
-
-
-def step_jacobian(u, prev, closure, asm, tau, material):
-    """Semismooth Jacobian (diag, off) of the step residual at ``u``."""
-    beta = hysteresis_gap(closure, prev.u) if closure.kind == HYST else None
-    diag = (
-        capacity_derivative(u, material)
-        + _closure_slope(closure, u, prev.upsilon, beta, tau, material)
-        + tau * asm.diag
-    )
-    return diag, tau * asm.off
 
 
 class StepProblem:
@@ -154,9 +129,7 @@ class StepProblem:
         self.assembler = assembler
         self.u_prev = prev.u
         self.upsilon_prev = prev.upsilon
-        self.beta = hysteresis_gap(closure, prev.u) if closure.kind == HYST else None
-        if self.beta is not None and np.any(self.beta < 0.0):
-            raise InvalidBounds("negative envelope gap")
+        self.beta = closure.envelope.gap(prev.u) if closure.kind == HYST else None
         self.rhs = (
             tau * np.asarray(f_n, dtype=float)
             + capacity_energy(prev.u, material)
@@ -191,17 +164,6 @@ class StepProblem:
         return diag, self.tau * asm.off
 
 
-def _advance(prev, t_new, tau, closure, material, f_n, assembler, opts):
-    problem = StepProblem(prev, closure, tau, f_n, material, assembler)
-    try:
-        u_new, report = solvers.solve_step(problem, opts)
-    except NonConvergence as err:
-        err.t = t_new
-        raise
-    upsilon_new = problem.closure_fraction(u_new)
-    return TimeState(t_new, u_new, np.asarray(upsilon_new, dtype=float), problem.beta), report
-
-
 def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic"):
     """Advance one step; boundary data and source sampled at the new time.
 
@@ -219,16 +181,14 @@ def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average=
     def assembler(u):
         return assemble(u, material, grid, ud_left, ud_right, face_average)
 
-    return _advance(prev, t_new, tau, closure, material, f_n, assembler, opts)
-
-
-def advance_fixed_matrix(prev, tau, closure, material, asm, f_fn, opts):
-    """Advance one step with a state-independent diffusion matrix."""
-    if tau <= 0.0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    t_new = prev.t + tau
-    f_n = np.broadcast_to(np.asarray(f_fn(t_new), dtype=float), prev.u.shape)
-    return _advance(prev, t_new, tau, closure, material, f_n, lambda u: asm, opts)
+    problem = StepProblem(prev, closure, tau, f_n, material, assembler)
+    try:
+        u_new, report = solvers.solve_step(problem, opts)
+    except NonConvergence as err:
+        err.t = t_new
+        raise
+    upsilon_new = problem.closure_fraction(u_new)
+    return TimeState(t_new, u_new, np.asarray(upsilon_new, dtype=float), problem.beta), report
 
 
 def validate_initial_fraction(closure, material, u0, chi0, strict=False):
@@ -337,8 +297,8 @@ class ScalarOdeStepper:
         if self.closure.kind == EQ:
             return f
         if self.closure.kind == NEQ:
-            b_bar = 1.0 / (1.0 + tau * self.closure.rate)
-            return (1.0 - b_bar) * f + b_bar * chi_prev
+            w = 1.0 / (1.0 + tau * self.closure.rate)
+            return (1.0 - w) * f + w * chi_prev
         return f + min(max(chi_prev - f, 0.0), beta)
 
     def _chi_slope(self, u, chi_prev, beta, tau):
@@ -346,8 +306,8 @@ class ScalarOdeStepper:
         if self.closure.kind == EQ:
             return fp
         if self.closure.kind == NEQ:
-            b_bar = 1.0 / (1.0 + tau * self.closure.rate)
-            return (1.0 - b_bar) * fp
+            w = 1.0 / (1.0 + tau * self.closure.rate)
+            return (1.0 - w) * fp
         s = chi_prev - _fraction(u, self.b)
         return 0.0 if 0.0 < s < beta else fp
 

@@ -1,6 +1,5 @@
 import csv
 import math
-import os
 
 import numpy as np
 import pytest
@@ -238,14 +237,6 @@ class TestConvergenceMode:
         cfg = tmp_path / "conv.cfg"
         cfg.write_text("taus = 0.1\ntau_fine = 0.03\n")
         assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRYOSTEF_THREADS", "2")
-        cfg = tmp_path / "conv.cfg"
-        cfg.write_text("taus = 0.1,0.05\ntau_fine = 0.01\nT = 2\n")
-        with pytest.warns(RuntimeWarning):
-            assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert os.path.exists(tmp_path / "orders.csv")
 
 
 class TestPdeMode:

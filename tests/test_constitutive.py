@@ -137,20 +137,6 @@ class TestDerivatives:
             assert np.all(np.abs(analytic - fd) / scale <= 1e-5)
 
 
-class TestFromPhysical:
-    def test_scaling(self):
-        from cryostef.constitutive import from_physical
-
-        m = from_physical(
-            b=1.0, c_u=2.35e6, c_f=1.77e6, k_u=1.21, k_f=1.65,
-            latent_heat=3.34e5, porosity=0.32, k_time_factor=1e6,
-        )
-        s = 1.0 / (0.32 * 3.34e5)
-        assert m.c_u == pytest.approx(2.35e6 * s)
-        assert m.k_f == pytest.approx(1e6 * 1.65 * s)
-        assert m.b == 1.0
-
-
 class TestCalibration:
     def test_three_condition_case_i(self, envelope_i):
         assert envelope_i.a == pytest.approx(9.5795, abs=1e-3)

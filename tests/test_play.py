@@ -2,18 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cryostef.constitutive import calibrate_envelope
 from cryostef.errors import InfeasibleState, InvalidBounds
-from cryostef.play import (
-    UNBOUNDED,
-    ConstraintInterval,
-    PlayState,
-    constrained_ode_step,
-    drive_play,
-    play_step,
-    resolvent,
-    resolvent_derivative,
-)
+from cryostef.play import ConstraintInterval, drive_play, play_step, resolvent
 
 
 class TestResolvent:
@@ -37,50 +31,9 @@ class TestResolvent:
         assert np.all(np.abs(r1 - r2) <= np.abs(s1 - s2) + 1e-15)
         assert np.all((s1 - s2) * (r1 - r2) >= 0.0)
 
-    def test_derivative_selection(self):
-        iv = ConstraintInterval(0.0, 1.0)
-        assert float(resolvent_derivative(iv, 0.5)) == 1.0
-        # clamped-side convention: zero on the corners and beyond
-        for s in (-0.5, 0.0, 1.0, 1.5):
-            assert float(resolvent_derivative(iv, s)) == 0.0
-
     def test_invalid_interval(self):
         with pytest.raises(InvalidBounds):
             ConstraintInterval(1.0, 0.0)
-
-
-class TestConstrainedOdeStep:
-    def test_stationary_interior(self):
-        out = constrained_ode_step(PlayState(1.0), ConstraintInterval(0.0, 2.0), 0.1, 0.0)
-        assert out.v == 1.0 and out.selection == 0.0
-
-    def test_clamped_update_has_minimal_norm_selection(self):
-        out = constrained_ode_step(PlayState(1.0), ConstraintInterval(0.0, 2.0), 0.5, 4.0)
-        assert out.v == 2.0
-        assert out.selection == pytest.approx((1.0 + 0.5 * 4.0 - 2.0) / 0.5, abs=1e-15)
-        assert out.selection == pytest.approx(2.0, abs=1e-15)
-
-    def test_interior_update_zero_selection(self):
-        out = constrained_ode_step(PlayState(1.0), ConstraintInterval(0.0, 2.0), 0.1, 5.0)
-        assert out.v == pytest.approx(1.5, abs=1e-15)
-        assert out.selection == 0.0
-
-    def test_infeasible_state_raises(self):
-        with pytest.raises(InfeasibleState):
-            constrained_ode_step(PlayState(-1.0), ConstraintInterval(0.0, 2.0), 0.1, 0.0)
-
-    def test_tiny_violation_tolerated(self):
-        out = constrained_ode_step(PlayState(-1e-13), ConstraintInterval(0.0, 2.0), 0.1, 0.0)
-        assert out.v == 0.0
-
-    def test_unbounded_interval_reduces_to_explicit_update(self, rng):
-        for _ in range(100):
-            v = rng.uniform(-1e3, 1e3)
-            f = rng.uniform(-1e3, 1e3)
-            tau = rng.uniform(1e-4, 10.0)
-            out = constrained_ode_step(PlayState(v), UNBOUNDED, tau, f)
-            assert out.v == pytest.approx(v + tau * f, rel=1e-15)
-            assert out.selection == 0.0
 
 
 class TestPlayStep:
@@ -164,3 +117,25 @@ class TestDrivePlay:
         with pytest.warns(RuntimeWarning):
             rows = drive_play(lambda t: -5.0, envelope_ii, 0.1, 1.0, 0.9, strict=False)
         assert rows[0, 2] == pytest.approx(float(envelope_ii.lower(-5.0)), abs=1e-14)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        amplitude=st.floats(0.5, 10.0),
+        period=st.floats(0.5, 20.0),
+        offset=st.floats(-8.0, 2.0),
+        variant=st.sampled_from(["three-condition", "two-condition"]),
+    )
+    def test_random_drive_stays_in_lagged_envelope(self, amplitude, period, offset, variant):
+        # F(u_n) <= chi_n <= F(u_n) + gap(u_{n-1}) for any drive and envelope
+        env = calibrate_envelope(1.0, 0.1, -5.0, variant)
+
+        def schedule(t):
+            return offset + amplitude * math.sin(2.0 * math.pi * t / period)
+
+        rows = drive_play(schedule, env, 0.05, 10.0, float(env.lower(schedule(0.0))))
+        u = rows[:, 1]
+        u_prev = np.concatenate(([schedule(0.0)], u[:-1]))
+        f_u = np.asarray(env.lower(u))
+        chi = rows[:, 2]
+        assert np.all(chi >= f_u - 1e-12)
+        assert np.all(chi <= f_u + np.asarray(env.gap(u_prev)) + 1e-12)

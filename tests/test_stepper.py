@@ -12,24 +12,26 @@ from cryostef.constitutive import (
 )
 from cryostef.errors import InfeasibleState, InvalidBounds
 from cryostef.grid import Grid1D, StiffnessAssembly, assemble
-from cryostef.solve import SolverOptions
+from cryostef.solve import SolverOptions, solve_step
 from cryostef.stepper import (
     Closure,
     ScalarOdeStepper,
+    StepProblem,
     TimeState,
     advance,
-    advance_fixed_matrix,
     closure_fraction,
     energy_balance_defect,
-    hysteresis_gap,
-    step_jacobian,
-    step_residual,
     validate_initial_fraction,
 )
 
 
 def scalar_assembly(kappa):
     return StiffnessAssembly(diag=np.array([kappa]), off=np.array([]), bc_rhs=np.zeros(1))
+
+
+def frozen_problem(prev, closure, asm, f_n, tau, material):
+    # the production step system with its matrix fixed at ``asm``
+    return StepProblem(prev, closure, tau, f_n, material, lambda v: asm)
 
 
 def bisect(fn, lo, hi, tol=1e-13, max_iter=200):
@@ -116,7 +118,7 @@ class TestStepResidual:
         prev = TimeState(0.0, u_prev, np.asarray(equilibrium_fraction(u_prev, material.b)))
         asm = assemble(u_prev, material, g, 1.0, -1.0)
         f_n = asm.matvec(u_prev) - asm.bc_rhs  # balances the diffusion exactly
-        r = step_residual(u_prev, prev, closure, asm, f_n, 0.05, material)
+        r = frozen_problem(prev, closure, asm, f_n, 0.05, material).residual(u_prev, asm)
         assert np.max(np.abs(r)) <= 1e-14
 
     def test_scalar_eq_root_matches_bisection(self, unit_material):
@@ -138,7 +140,8 @@ class TestStepResidual:
 
         root = bisect(scalar_residual, -50.0, 50.0)
         f_n = np.array([g_val / tau])
-        r = step_residual(np.array([root]), prev, closure, asm, f_n, tau, unit_material)
+        problem = frozen_problem(prev, closure, asm, f_n, tau, unit_material)
+        r = problem.residual(np.array([root]), asm)
         assert abs(float(r[0])) <= 1e-12
 
     def test_matches_independent_dense_evaluation(self, material, envelope_ii, rng):
@@ -161,7 +164,7 @@ class TestStepResidual:
             for _ in range(5):
                 u = rng.uniform(-5, 2, size=5)
                 asm = assemble(u, material, g, *ud)
-                got = step_residual(u, prev, closure, asm, f_n, tau, material)
+                got = frozen_problem(prev, closure, asm, f_n, tau, material).residual(u, asm)
 
                 # independent dense rebuild
                 from cryostef.constitutive import conductivity
@@ -205,9 +208,9 @@ class TestStepJacobian:
     def test_scalar_hand_value(self, unit_material):
         tau, kappa, b = 0.3, 2.0, 1.0
         prev = TimeState(0.0, np.array([-1.0]), np.array([math.exp(-1.0)]))
-        diag, off = step_jacobian(
-            np.array([-1.0]), prev, Closure.equilibrium(), scalar_assembly(kappa), tau, unit_material
-        )
+        asm = scalar_assembly(kappa)
+        problem = frozen_problem(prev, Closure.equilibrium(), asm, np.zeros(1), tau, unit_material)
+        diag, off = problem.jacobian(np.array([-1.0]), asm)
         assert off.size == 0
         assert float(diag[0]) == pytest.approx(1.0 + b * math.exp(-b) + tau * kappa, abs=1e-14)
 
@@ -225,12 +228,12 @@ class TestStepJacobian:
             prev = TimeState(0.0, u_prev, np.clip(ups_prev, 0, 1))
             u = rng.uniform(-5, -1, size=6)  # all away from the kink at zero
             asm = assemble(u, material, g, *ud)
-            f_n = np.zeros(6)
-            diag, off = step_jacobian(u, prev, closure, asm, tau, material)
-            r0 = step_residual(u, prev, closure, asm, f_n, tau, material)
+            problem = frozen_problem(prev, closure, asm, np.zeros(6), tau, material)
+            diag, off = problem.jacobian(u, asm)
+            r0 = problem.residual(u, asm)
             for _ in range(5):
                 delta = 1e-7 * rng.standard_normal(6)
-                r1 = step_residual(u + delta, prev, closure, asm, f_n, tau, material)
+                r1 = problem.residual(u + delta, asm)
                 jd = diag * delta
                 jd[:-1] += off * delta[1:]
                 jd[1:] += off * delta[:-1]
@@ -239,17 +242,17 @@ class TestStepJacobian:
 
     def test_hyst_interior_play_contributes_nothing(self, material, envelope_ii):
         u = np.array([-2.0])
-        beta = float(hysteresis_gap(Closure.hysteresis(envelope_ii), u)[0])
+        beta = float(envelope_ii.gap(u)[0])
         assert beta > 0.1
         ups_prev = np.asarray(equilibrium_fraction(u, material.b)) + 0.5 * beta
         prev = TimeState(0.0, u, ups_prev)
-        tau, kappa = 0.05, 1.0
-        diag, _ = step_jacobian(
-            u, prev, Closure.hysteresis(envelope_ii), scalar_assembly(kappa), tau, material
-        )
-        diag_eq, _ = step_jacobian(
-            u, prev, Closure.equilibrium(), scalar_assembly(kappa), tau, material
-        )
+        tau, asm = 0.05, scalar_assembly(1.0)
+        diag, _ = frozen_problem(
+            prev, Closure.hysteresis(envelope_ii), asm, np.zeros(1), tau, material
+        ).jacobian(u, asm)
+        diag_eq, _ = frozen_problem(
+            prev, Closure.equilibrium(), asm, np.zeros(1), tau, material
+        ).jacobian(u, asm)
         from cryostef.constitutive import fraction_derivative
 
         fp = float(fraction_derivative(u, material.b)[0])
@@ -393,37 +396,43 @@ class TestInitialFraction:
 
 
 class TestScalarOdeStepper:
-    def test_matches_vector_machinery(self, envelope_ii):
-        # same formulas, two implementations: plain floats vs the vector path
-        env = calibrate_envelope(1.0, 0.1, -5.0)
-        closure = Closure.hysteresis(env)
+    def test_matches_vector_machinery(self):
+        # same formulas, two implementations: plain floats vs the vector
+        # path, for every closure
         m_ode = ScaledMaterial(b=1.0, c_u=1.0, c_f=1.0, k_u=1.0, k_f=1.0)
         a_coef = 0.02
         tau = 0.01
         asm = scalar_assembly(a_coef)
+        opts = SolverOptions()
 
         def forcing(t):
             h = 16.0 if t < 1.0 else 4.0
             g = -15.0 if t < 1.0 else 4.0 * t - 30.0
             return h * math.cos(math.pi * t) + g
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            chi0 = validate_initial_fraction(
-                closure, m_ode, np.array([-0.2]), np.array([math.exp(-0.5)])
-            )
-        state = TimeState(0.0, np.array([-0.2]), chi0)
-        scalar = ScalarOdeStepper(closure, 1.0, a_coef)
-        u_s, chi_s = -0.2, float(chi0[0])
-        opts = SolverOptions()
-        worst = 0.0
-        for n in range(1, 201):
-            state, _ = advance_fixed_matrix(
-                state, tau, closure, m_ode, asm, lambda t: np.array([forcing(t)]), opts
-            )
-            u_s, chi_s, _, _ = scalar.step(u_s, chi_s, tau, forcing(n * tau))
-            worst = max(worst, abs(state.u[0] - u_s), abs(state.upsilon[0] - chi_s))
-        assert worst <= 1e-10
+        for closure in (
+            Closure.equilibrium(),
+            Closure.kinetic(5.0),
+            Closure.hysteresis(calibrate_envelope(1.0, 0.1, -5.0)),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                chi0 = validate_initial_fraction(
+                    closure, m_ode, np.array([-0.2]), np.array([math.exp(-0.5)])
+                )
+            state = TimeState(0.0, np.array([-0.2]), chi0)
+            scalar = ScalarOdeStepper(closure, 1.0, a_coef)
+            u_s, chi_s = -0.2, float(chi0[0])
+            worst = 0.0
+            for n in range(1, 201):
+                t_new = state.t + tau
+                f_n = np.array([forcing(t_new)])
+                problem = frozen_problem(state, closure, asm, f_n, tau, m_ode)
+                u_new, _ = solve_step(problem, opts)
+                state = TimeState(t_new, u_new, problem.closure_fraction(u_new), problem.beta)
+                u_s, chi_s, _, _ = scalar.step(u_s, chi_s, tau, forcing(n * tau))
+                worst = max(worst, abs(state.u[0] - u_s), abs(state.upsilon[0] - chi_s))
+            assert worst <= 1e-10, closure.kind
 
     def test_stationary(self):
         env = calibrate_envelope(1.0, 0.1, -5.0)
