@@ -105,14 +105,15 @@ def simulate_pde(cfg, opts, strict_init=False):
         return cfg.bc_left(t), cfg.bc_right(t)
 
     def f_fn(t):
-        return np.broadcast_to(
+        sources.append(np.broadcast_to(
             np.asarray(eval_expression(cfg.source, x=x, t=t), dtype=float), x.shape
-        )
+        ).copy())
+        return sources[-1]
 
     state = TimeState(0.0, u0, chi0)
     states = [state]
     reports = []
-    sources = []
+    sources = []  # filled by f_fn: advance samples the source once per step
     bcs = []
     n_steps = int(round(cfg.T / cfg.tau))
     for n in range(1, n_steps + 1):
@@ -126,7 +127,6 @@ def simulate_pde(cfg, opts, strict_init=False):
             raise
         states.append(state)
         reports.append(report)
-        sources.append(np.array(f_fn(state.t)))
         bcs.append(bc_fn(state.t))
     return PdeRun(cfg, grid, material, closure, states, reports, sources, bcs)
 

@@ -10,6 +10,7 @@ runs the documented reference experiment of that mode.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, fields, replace
@@ -157,6 +158,7 @@ _INT_KEYS = {"M"}
 _STR_KEYS = {"closure", "envelope", "face_average", "u_init", "chi_init", "source", "forcing", "drive", "out_dir", "mode"}
 _SCHEDULE_KEYS = {"bc_left", "bc_right"}
 _LIST_KEYS = {"out_times", "taus"}
+_EXPR_KEYS = ("u_init", "chi_init", "source", "forcing", "drive")
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _SCHEDULE_KEYS | _LIST_KEYS
 
 
@@ -224,6 +226,9 @@ def load_config(path, mode, overrides=None):
     if overrides:
         cfg = replace(cfg, **overrides)
     _validate(cfg)
+    # a malformed expression fails here, before any step runs
+    for key in _EXPR_KEYS:
+        _compile_expression(getattr(cfg, key))
     return cfg
 
 
@@ -251,11 +256,24 @@ def _validate(cfg):
                 )
 
 
+@functools.lru_cache(maxsize=256)
+def _compile_expression(expr):
+    # eval() of a string strips leading blanks; compile() does not
+    try:
+        return compile(expr.lstrip(" \t"), "<config>", "eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
+
+
 def eval_expression(expr, **names):
-    """Evaluate a config expression over the math namespace plus ``names``."""
+    """Evaluate a config expression over the math namespace plus ``names``.
+
+    Each distinct expression is parsed once and its code object reused.
+    """
+    code = _compile_expression(expr)
     namespace = dict(_EXPR_NAMES)
     namespace.update(names)
     try:
-        return eval(expr, {"__builtins__": {}}, namespace)  # noqa: S307 - local config files
+        return eval(code, {"__builtins__": {}}, namespace)  # noqa: S307 - local config files
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc

@@ -7,6 +7,7 @@ Jacobians, bisection.  Nothing imports the production solve module.
 import numpy as np
 
 from cryostef.constitutive import capacity_energy, conductivity, equilibrium_fraction
+from cryostef.errors import SingularJacobian
 
 
 def dense_step_residual(u, u_prev, ups_prev, closure, material, h, ud, f_n, tau):
@@ -79,3 +80,34 @@ def bisect(fn, lo, hi, tol=1e-13, max_iter=200):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def thomas_numpy(diag, off, rhs):
+    """Row-by-row Thomas elimination over numpy scalars.
+
+    The production solve must reproduce this loop bit for bit, including
+    its pivot check and messages.
+    """
+    n = diag.shape[0]
+    scale = float(np.max(np.abs(diag)))
+    if off.size:
+        scale = max(scale, float(np.max(np.abs(off))))
+    tiny = max(scale, 1.0) * 1e-15
+
+    w = diag.astype(float).copy()
+    g = rhs.astype(float).copy()
+    for i in range(1, n):
+        piv = w[i - 1]
+        if abs(piv) < tiny:
+            raise SingularJacobian(f"pivot {piv} collapsed at row {i - 1}")
+        m = off[i - 1] / piv
+        w[i] -= m * off[i - 1]
+        g[i] -= m * g[i - 1]
+    if abs(w[-1]) < tiny:
+        raise SingularJacobian(f"pivot {w[-1]} collapsed at last row")
+
+    x = np.empty(n)
+    x[-1] = g[-1] / w[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (g[i] - off[i] * x[i + 1]) / w[i]
+    return x

@@ -104,6 +104,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             eval_expression("__import__('os')")
 
+    def test_malformed_expression_rejected_at_load(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for key in ("u_init", "chi_init", "source", "forcing", "drive"):
+            path.write_text(f"{key} = sin(pi*x\n")
+            with pytest.raises(ConfigError, match="cannot parse expression"):
+                load_config(path, "pde")
+
+    def test_expression_leading_blanks_accepted(self):
+        # eval() of a string strips leading spaces and tabs; keep that
+        assert eval_expression(" \t2*t", t=1.5) == 3.0
+
 
 class TestCalibrateMode:
     def test_prints_constants_and_writes_envelope(self, tmp_path, capsys):
@@ -328,6 +339,12 @@ class TestPdeMode:
         cfg = tmp_path / "pde.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_malformed_source_exits_2_before_any_step(self, tmp_path):
+        cfg = tmp_path / "pde.cfg"
+        self.write_small_config(cfg, extra="source = 1 +\n")
+        assert main(["pde", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_strict_init_exits_4(self, tmp_path):
         cfg = tmp_path / "pde.cfg"

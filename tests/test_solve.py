@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import bisect, dense_newton_full
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bisect, dense_newton_full, thomas_numpy
 
+from cryostef import cli, solve
+from cryostef.config import load_config
 from cryostef.constitutive import ScaledMaterial, capacity_energy, equilibrium_fraction
 from cryostef.errors import Divergence, NonConvergence, SingularJacobian
 from cryostef.grid import Grid1D, StiffnessAssembly, assemble
@@ -58,6 +62,39 @@ class TestThomas:
     def test_singular_raises(self):
         with pytest.raises(SingularJacobian):
             thomas_solve(np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        rhs_scale=st.floats(1e-6, 1e6),
+    )
+    def test_bit_identical_to_numpy_loop(self, n, seed, rhs_scale):
+        # random SPD systems: a diagonally dominant, symmetric tridiagonal
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-1.0, 1.0, size=n - 1)
+        bound = np.zeros(n)
+        bound[:-1] += np.abs(off)
+        bound[1:] += np.abs(off)
+        diag = bound + rng.uniform(1e-3, 10.0, size=n)
+        rhs = rhs_scale * rng.standard_normal(n)
+        got = thomas_solve(diag, off, rhs)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got, thomas_numpy(diag, off, rhs))
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [([1.0, 1.0], [1.0]), ([0.0, 1.0], [1.0]), ([2.0, 1e-16, 3.0], [1e-9, 1.0]), ([0.0], [])],
+    )
+    def test_singular_message_matches_numpy_loop(self, diag, off):
+        diag = np.array(diag)
+        off = np.array(off)
+        rhs = np.ones_like(diag)
+        with pytest.raises(SingularJacobian) as expected:
+            thomas_numpy(diag, off, rhs)
+        with pytest.raises(SingularJacobian) as got:
+            thomas_solve(diag, off, rhs)
+        assert str(got.value) == str(expected.value)
 
 
 class TestNewtonFrozenA:
@@ -339,3 +376,47 @@ class TestContractionDiagnostic:
         diag = contraction_diagnostic(problem, probe_fn=probe)
         for value in diag.values():
             assert np.isfinite(value) and value > 0.0
+
+
+class TestFastKernelGuard:
+    def run_hyst(self, monkeypatch, kernel):
+        # a short hysteretic run with ``kernel`` as the tridiagonal solve,
+        # counting StepProblem.residual calls per step
+        counts = []
+        residual = StepProblem.residual
+        advance = cli.advance
+
+        def counting_residual(self, u, asm):
+            counts[-1] += 1
+            return residual(self, u, asm)
+
+        def counting_advance(*args, **kwargs):
+            counts.append(0)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(StepProblem, "residual", counting_residual)
+        monkeypatch.setattr(cli, "advance", counting_advance)
+        monkeypatch.setattr(solve, "thomas_solve", kernel)
+        cfg = load_config(None, "pde", overrides={"closure": "hyst", "T": 0.5})
+        run = cli.simulate_pde(cfg, SolverOptions())
+        monkeypatch.undo()
+        return run, counts
+
+    def test_solve_kernel_changes_no_bits(self, monkeypatch):
+        shipped, counts = self.run_hyst(monkeypatch, thomas_solve)
+        reference, _ = self.run_hyst(monkeypatch, thomas_numpy)
+
+        assert len(shipped.states) == len(reference.states) == 51
+        for a, b in zip(shipped.states, reference.states):
+            assert a.t == b.t
+            assert np.array_equal(a.u, b.u)
+            assert np.array_equal(a.upsilon, b.upsilon)
+        for a, b in zip(shipped.reports, reference.reports):
+            assert (a.outer_iters, a.inner_iters_total, a.residual_history) == (
+                b.outer_iters,
+                b.inner_iters_total,
+                b.residual_history,
+            )
+        # one residual to start, one per Newton update, one true residual per outer pass
+        assert counts == [1 + r.inner_iters_total + r.outer_iters for r in shipped.reports]
+        assert any(r.outer_iters > 1 for r in shipped.reports)
