@@ -56,8 +56,20 @@ def build_closure(cfg):
     return Closure.hysteresis(env)
 
 
-def _fraction_fn(b):
-    return lambda v: equilibrium_fraction(np.asarray(v, dtype=float), b)
+def initial_fraction(cfg, x, u0):
+    """``chi_init`` at ``x``: F(u0) for ``auto``, else the expression in x, u0, F."""
+    if cfg.chi_init == "auto":
+        return equilibrium_fraction(u0, cfg.b)
+    return eval_expression(cfg.chi_init, x=x, u0=u0, F=lambda v: equilibrium_fraction(v, cfg.b))
+
+
+def initial_state(cfg, closure, material, x, strict_init=False):
+    """``u_init`` at ``x``, then ``chi_init`` made admissible for the closure."""
+    u0 = np.broadcast_to(
+        np.asarray(eval_expression(cfg.u_init, x=x), dtype=float), np.shape(x)
+    ).astype(float)
+    chi_raw = initial_fraction(cfg, x, u0)
+    return u0, validate_initial_fraction(closure, material, u0, chi_raw, strict=strict_init)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +78,9 @@ def _fraction_fn(b):
 
 @dataclass
 class PdeRun:
-    """States and per-step reports of a completed simulation."""
+    """States and per-step reports of a completed simulation, with the
+    source array and the boundary pair ``advance`` sampled for each step.
+    """
 
     cfg: RunConfig
     grid: Grid1D
@@ -88,21 +102,12 @@ def simulate_pde(cfg, opts, strict_init=False):
     closure = build_closure(cfg)
     grid = Grid1D(cfg.M)
     x = grid.centers
+    u0, chi0 = initial_state(cfg, closure, material, x, strict_init)
 
-    u0 = np.broadcast_to(
-        np.asarray(eval_expression(cfg.u_init, x=x), dtype=float), x.shape
-    ).astype(float)
-    if cfg.chi_init == "auto":
-        chi_raw = equilibrium_fraction(u0, material.b)
-    else:
-        chi_raw = np.asarray(
-            eval_expression(cfg.chi_init, x=x, u0=u0, F=_fraction_fn(material.b)),
-            dtype=float,
-        )
-    chi0 = validate_initial_fraction(closure, material, u0, chi_raw, strict=strict_init)
-
+    # advance samples the boundary pair and the source once per step; keep them
     def bc_fn(t):
-        return cfg.bc_left(t), cfg.bc_right(t)
+        bcs.append((cfg.bc_left(t), cfg.bc_right(t)))
+        return bcs[-1]
 
     def f_fn(t):
         sources.append(np.broadcast_to(
@@ -113,7 +118,7 @@ def simulate_pde(cfg, opts, strict_init=False):
     state = TimeState(0.0, u0, chi0)
     states = [state]
     reports = []
-    sources = []  # filled by f_fn: advance samples the source once per step
+    sources = []
     bcs = []
     n_steps = int(round(cfg.T / cfg.tau))
     for n in range(1, n_steps + 1):
@@ -127,24 +132,19 @@ def simulate_pde(cfg, opts, strict_init=False):
             raise
         states.append(state)
         reports.append(report)
-        bcs.append(bc_fn(state.t))
     return PdeRun(cfg, grid, material, closure, states, reports, sources, bcs)
 
 
 def _pde_diagnostics(run):
+    # step 1's system, with the source and boundary pair its solve used
     cfg = run.cfg
-    first = run.states[0]
-    t1 = cfg.tau
-    ud = (cfg.bc_left(t1), cfg.bc_right(t1))
-    x = run.grid.centers
-    f1 = np.broadcast_to(
-        np.asarray(eval_expression(cfg.source, x=x, t=t1), dtype=float), x.shape
-    )
 
     def assembler(u):
-        return assemble(u, run.material, run.grid, *ud, cfg.face_average)
+        return assemble(u, run.material, run.grid, *run.bcs[0], cfg.face_average)
 
-    problem = StepProblem(first, run.closure, cfg.tau, f1, run.material, assembler)
+    problem = StepProblem(
+        run.states[0], run.closure, cfg.tau, run.sources[0], run.material, assembler
+    )
 
     def probe(u1, u2, xi):
         return lipschitz_probe(u1, u2, xi, run.material, run.grid, cfg.face_average)
@@ -238,18 +238,9 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
     tau = cfg.tau if tau is None else tau
     closure = build_closure(cfg)
     forcing = _time_expr_fn(cfg.forcing, _default_coupled_forcing)
-
-    u0 = float(eval_expression(cfg.u_init, x=0.0))
-    if cfg.chi_init == "auto":
-        chi_raw = float(equilibrium_fraction(u0, cfg.b))
-    else:
-        chi_raw = float(eval_expression(cfg.chi_init, x=0.0, u0=u0, F=_fraction_fn(cfg.b)))
+    # one point at x = 0 with c(u) = u: the material keys of pde mode are not read
     material = ScaledMaterial(b=cfg.b, c_u=1.0, c_f=1.0, k_u=1.0, k_f=1.0)
-    chi0 = float(
-        validate_initial_fraction(
-            closure, material, np.array([u0]), np.array([chi_raw]), strict=strict_init
-        )[0]
-    )
+    u0, chi0 = initial_state(cfg, closure, material, 0.0, strict_init)
 
     stepper = ScalarOdeStepper(closure, cfg.b, cfg.a_coef, tol=opts.tol, max_iter=opts.max_inner)
     n_steps = int(round(cfg.T / tau))
@@ -278,11 +269,8 @@ def run_ode_coupled(cfg, opts, out_dir, strict_init=False):
 def run_ode_driven(cfg, opts, out_dir, strict_init=False):
     env = calibrate_envelope(cfg.b, cfg.b_bar, cfg.theta0, cfg.envelope)
     u_fn = _time_expr_fn(cfg.drive, _default_drive)
-    u0 = u_fn(0.0)
-    if cfg.chi_init == "auto":
-        v_init = float(env.lower(u0))
-    else:
-        v_init = float(eval_expression(cfg.chi_init, x=0.0, u0=u0, F=_fraction_fn(cfg.b)))
+    # u0 comes from the drive, and drive_play makes the fraction admissible
+    v_init = float(initial_fraction(cfg, 0.0, u_fn(0.0)))
     rows = drive_play(u_fn, env, cfg.tau, cfg.T, v_init, strict=strict_init)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), [tuple(r) for r in rows])
@@ -404,12 +392,17 @@ def _build_parser():
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
         p = sub.add_parser(mode)
+        # each mode takes only the flags it reads; main() sees the defaults of the rest
+        p.set_defaults(strict_init=False, solver=solvers.NEWTON_ALAG, tol=1e-8, max_iter=20)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--strict-init", action="store_true", help="reject infeasible initial data")
-        p.add_argument("--solver", choices=solvers.STRATEGIES, default=solvers.NEWTON_ALAG)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=20)
+        if mode != "calibrate":
+            p.add_argument("--strict-init", action="store_true", help="reject infeasible initial data")
+        if mode == "pde":
+            p.add_argument("--solver", choices=solvers.STRATEGIES)
+        if mode in ("pde", "ode-coupled", "convergence"):
+            p.add_argument("--tol", type=float)
+            p.add_argument("--max-iter", type=int)
     return parser
 
 

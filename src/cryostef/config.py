@@ -153,13 +153,10 @@ _MODE_DEFAULTS = {
     },
 }
 
-_FLOAT_KEYS = {"b", "c_u", "c_f", "k_u", "k_f", "rate", "b_bar", "theta0", "tau", "T", "a_coef", "tau_fine"}
-_INT_KEYS = {"M"}
-_STR_KEYS = {"closure", "envelope", "face_average", "u_init", "chi_init", "source", "forcing", "drive", "out_dir", "mode"}
-_SCHEDULE_KEYS = {"bc_left", "bc_right"}
-_LIST_KEYS = {"out_times", "taus"}
+# each key's kind is the type of its RunConfig default; ``mode`` has none
+# because the caller names the mode
+_KINDS = {f.name: type(f.default) for f in fields(RunConfig) if f.name != "mode"}
 _EXPR_KEYS = ("u_init", "chi_init", "source", "forcing", "drive")
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _SCHEDULE_KEYS | _LIST_KEYS
 
 
 def parse_config_text(text):
@@ -174,7 +171,7 @@ def parse_config_text(text):
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KINDS and key != "mode":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -198,31 +195,8 @@ def load_config(path, mode, overrides=None):
             raise ConfigError(f"config says mode {raw['mode']!r} but {mode!r} was requested")
         del raw["mode"]
 
-    cfg = RunConfig(mode=mode)
-    cfg = replace(cfg, **_MODE_DEFAULTS[mode])
-
-    valid = {f.name for f in fields(RunConfig)}
-    typed = {}
-    for key, value in raw.items():
-        if key not in valid:
-            raise ConfigError(f"key {key!r} is not configurable")
-        if key in _FLOAT_KEYS:
-            try:
-                typed[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from exc
-        elif key in _INT_KEYS:
-            try:
-                typed[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from exc
-        elif key in _SCHEDULE_KEYS:
-            typed[key] = parse_schedule(value)
-        elif key in _LIST_KEYS:
-            typed[key] = _parse_float_list(value)
-        else:
-            typed[key] = value
-    cfg = replace(cfg, **typed)
+    cfg = RunConfig(mode=mode, **_MODE_DEFAULTS[mode])
+    cfg = replace(cfg, **{key: _parse_value(key, value) for key, value in raw.items()})
     if overrides:
         cfg = replace(cfg, **overrides)
     _validate(cfg)
@@ -230,6 +204,19 @@ def load_config(path, mode, overrides=None):
     for key in _EXPR_KEYS:
         _compile_expression(getattr(cfg, key))
     return cfg
+
+
+def _parse_value(key, text):
+    kind = _KINDS[key]
+    if kind is PiecewiseLinearSchedule:
+        return parse_schedule(text)
+    if kind is tuple:
+        return _parse_float_list(text)
+    try:
+        return kind(text)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: expected {noun}, got {text!r}") from exc
 
 
 def _validate(cfg):

@@ -139,14 +139,25 @@ def double_iteration(problem, opts):
     # residual: same iterate, same matrix
     r = None
     for outer in range(1, opts.max_outer + 1):
-        u, rep = newton_frozen_a(
-            lambda v: problem.residual(v, asm),
-            lambda v: problem.jacobian(v, asm),
-            u,
-            opts,
-            budget=opts.max_inner - inner_total,
-            r0=r,
-        )
+        try:
+            u, rep = newton_frozen_a(
+                lambda v: problem.residual(v, asm),
+                lambda v: problem.jacobian(v, asm),
+                u,
+                opts,
+                budget=opts.max_inner - inner_total,
+                r0=r,
+            )
+        except NonConvergence as err:
+            # report the whole step, not only the pass that ran out of budget
+            inner_total += err.report.inner_iters_total
+            history.extend(err.report.residual_history)
+            raise NonConvergence(
+                f"Newton stalled at residual {err.residual:.3e} "
+                f"(inner iterations {inner_total}, outer passes {outer})",
+                residual=err.residual,
+                report=StepReport(outer, inner_total, history, False),
+            ) from err
         inner_total += rep.inner_iters_total
         history.extend(rep.residual_history)
         asm = problem.assemble(u)

@@ -1,12 +1,17 @@
 import csv
 import math
+import warnings
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from cryostef import cli
 from cryostef.cli import main
 from cryostef.config import (
     PiecewiseLinearSchedule,
+    RunConfig,
     eval_expression,
     load_config,
     parse_config_text,
@@ -14,6 +19,7 @@ from cryostef.config import (
 )
 from cryostef.constitutive import calibrate_envelope, equilibrium_fraction
 from cryostef.errors import ConfigError
+from cryostef.solve import SolverOptions
 
 
 def read_csv(path):
@@ -114,6 +120,36 @@ class TestConfigParsing:
     def test_expression_leading_blanks_accepted(self):
         # eval() of a string strips leading spaces and tabs; keep that
         assert eval_expression(" \t2*t", t=1.5) == 3.0
+
+    def test_every_run_config_field_is_a_key(self, tmp_path):
+        # each field but mode, written as text, loads back to its default
+        def as_text(value):
+            if isinstance(value, PiecewiseLinearSchedule):
+                return ",".join(f"({t!r},{v!r})" for t, v in value.breakpoints)
+            if isinstance(value, tuple):
+                return ",".join(repr(v) for v in value)
+            return str(value)
+
+        defaults = load_config(None, "pde")
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(
+            f"{f.name} = {as_text(getattr(defaults, f.name))}\n"
+            for f in fields(RunConfig)
+            if f.name != "mode"
+        ))
+        assert len(parse_config_text(path.read_text())) == len(fields(RunConfig)) - 1
+        assert load_config(path, "pde") == defaults
+
+    def test_malformed_numbers_keep_their_messages(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for line, message in (
+            ("M = 2.5", "key 'M': expected an integer, got '2.5'"),
+            ("tau = fast", "key 'tau': expected a number, got 'fast'"),
+        ):
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError) as info:
+                load_config(path, "pde")
+            assert str(info.value) == message
 
 
 class TestCalibrateMode:
@@ -226,6 +262,28 @@ class TestOdeCoupledMode:
 
     def test_strict_init_exits_4(self, tmp_path):
         assert main(["ode-coupled", "--out", str(tmp_path), "--strict-init"]) == 4
+
+    def test_conditional_initial_data_at_the_single_point(self, tmp_path):
+        # u_init and chi_init are read at x = 0, so a conditional works; c_u is
+        # a pde material key this mode never reads
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("u_init = -0.2\nchi_init = F(u0)\nT = 1\n")
+        conditional = tmp_path / "conditional.cfg"
+        conditional.write_text(
+            "u_init = -0.2 if x < 0.5 else 0.1\nchi_init = F(u0) if x < 0.5 else 1.0\n"
+            "c_u = 0\nT = 1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # F(u0) is admissible: nothing is clamped
+            for cfg, sub in ((plain, "a"), (conditional, "b")):
+                assert main(["ode-coupled", "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0
+        a = (tmp_path / "a" / "trajectory.csv").read_bytes()
+        assert a == (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+        # over the cell centers of pde mode the same conditional is ambiguous
+        pde_cfg = tmp_path / "pde.cfg"
+        pde_cfg.write_text("u_init = -0.2 if x < 0.5 else 0.1\n")
+        assert main(["pde", "--config", str(pde_cfg), "--out", str(tmp_path / "c")]) == 2
 
 
 class TestConvergenceMode:
@@ -351,3 +409,60 @@ class TestPdeMode:
         self.write_small_config(cfg, closure="hyst", extra="chi_init = F(u0) + 0.1\n")
         code = main(["pde", "--config", str(cfg), "--out", str(tmp_path), "--strict-init"])
         assert code == 4
+
+
+class TestStepInputsSampledOnce:
+    def test_pde_keeps_what_advance_sampled(self, monkeypatch):
+        # each step samples both boundary schedules and the source once, in
+        # advance; the run keeps those values and the diagnostics reuse them
+        schedule_calls = Counter()
+        expr_calls = Counter()
+        schedule = PiecewiseLinearSchedule.__call__
+        evaluate = cli.eval_expression
+
+        def counting_schedule(self, t):
+            schedule_calls[id(self)] += 1
+            return schedule(self, t)
+
+        def counting_eval(expr, **names):
+            expr_calls[expr] += 1
+            return evaluate(expr, **names)
+
+        monkeypatch.setattr(PiecewiseLinearSchedule, "__call__", counting_schedule)
+        monkeypatch.setattr(cli, "eval_expression", counting_eval)
+        cfg = load_config(None, "pde", overrides={"M": 10, "T": 0.3, "source": "0.1*x*t"})
+        run = cli.simulate_pde(cfg, SolverOptions())
+        n = len(run.reports)
+        assert n == 30
+        assert schedule_calls == {id(cfg.bc_left): n, id(cfg.bc_right): n}
+        assert expr_calls == {cfg.u_init: 1, cfg.source: n}
+
+        schedule_calls.clear()
+        expr_calls.clear()
+        cli._pde_diagnostics(run)
+        assert not schedule_calls and not expr_calls
+        monkeypatch.undo()
+
+        assert len(run.sources) == len(run.bcs) == n
+        x = run.grid.centers
+        for state, source, bc in zip(run.states[1:], run.sources, run.bcs):
+            assert bc == (cfg.bc_left(state.t), cfg.bc_right(state.t))
+            assert np.array_equal(source, eval_expression(cfg.source, x=x, t=state.t))
+
+
+class TestModeFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ode-coupled", "--solver", "fixed-point"],
+            ["calibrate", "--tol", "1e-9"],
+            ["calibrate", "--strict-init"],
+            ["ode-driven", "--max-iter", "5"],
+            ["convergence", "--solver", "fixed-point"],
+        ],
+    )
+    def test_flag_the_mode_does_not_read_exits_2(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()

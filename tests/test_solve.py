@@ -240,6 +240,21 @@ class TestDoubleIteration:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
+    def test_stalled_step_reports_every_pass(self):
+        # the reference pde at M = 30 spends step 1's whole budget over seven
+        # outer passes (budgets 20, 14, 10, 7, 5, 3, 1) and stalls above tol
+        cfg = load_config(None, "pde", overrides={"M": 30})
+        with pytest.raises(NonConvergence) as info:
+            cli.simulate_pde(cfg, SolverOptions())
+        err = info.value
+        assert err.step == 1
+        assert (err.report.outer_iters, err.report.inner_iters_total) == (7, 20)
+        assert not err.report.converged
+        # every pass: its start and each update, then the true residual but for the last
+        assert len(err.report.residual_history) == 7 + 20 + 6
+        assert err.report.residual_history[-1] == err.residual
+        assert "(inner iterations 20, outer passes 7)" in str(err)
+
 
 class TestFixedPoint:
     def test_trivial_linear_case_single_sweep(self, unit_material):

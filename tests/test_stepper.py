@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import bisect, dense_step_residual
 
 from cryostef.constitutive import (
     ScaledMaterial,
@@ -32,21 +33,6 @@ def scalar_assembly(kappa):
 def frozen_problem(prev, closure, asm, f_n, tau, material):
     # the production step system with its matrix fixed at ``asm``
     return StepProblem(prev, closure, tau, f_n, material, lambda v: asm)
-
-
-def bisect(fn, lo, hi, tol=1e-13, max_iter=200):
-    flo = fn(lo)
-    assert flo * fn(hi) <= 0.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if hi - lo < tol:
-            return mid
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 class TestClosureFraction:
@@ -94,22 +80,6 @@ class TestClosureFraction:
             Closure("bogus")
 
 
-class TestFRProperties:
-    def test_lipschitz_and_monotone(self, material, envelope_ii, rng):
-        # F_R(x; v) = F(v) + clamp(x - F(v), 0, beta), via the hysteretic path
-        closure = Closure.hysteresis(envelope_ii)
-        n = 10000
-        x = rng.uniform(-0.5, 1.5, size=n)
-        v1 = rng.uniform(-10.0, 5.0, size=n)
-        v2 = rng.uniform(-10.0, 5.0, size=n)
-        beta = rng.uniform(0.0, 1.0, size=n)
-        f1 = closure_fraction(closure, v1, x, beta, 0.01, material)
-        f2 = closure_fraction(closure, v2, x, beta, 0.01, material)
-        lf = material.b
-        assert np.all((v1 - v2) * (f1 - f2) >= -1e-14)
-        assert np.all(np.abs(f1 - f2) <= lf * np.abs(v1 - v2) + 1e-14)
-
-
 class TestStepResidual:
     def test_stationary_state_has_zero_residual(self, material, rng):
         g = Grid1D(8)
@@ -147,7 +117,6 @@ class TestStepResidual:
     def test_matches_independent_dense_evaluation(self, material, envelope_ii, rng):
         # rebuild the residual from scratch with dense linear algebra on M=5
         g = Grid1D(5)
-        h = g.h
         tau = 0.02
         u_prev = rng.uniform(-5, 2, size=5)
         ups_prev = np.clip(
@@ -166,40 +135,8 @@ class TestStepResidual:
                 asm = assemble(u, material, g, *ud)
                 got = frozen_problem(prev, closure, asm, f_n, tau, material).residual(u, asm)
 
-                # independent dense rebuild
-                from cryostef.constitutive import conductivity
-
-                k = np.asarray(conductivity(u, material))
-                a = np.zeros((5, 5))
-                bc = np.zeros(5)
-                for j in range(4):
-                    t_face = 2 * k[j] * k[j + 1] / (k[j] + k[j + 1]) / h**2
-                    a[j, j] += t_face
-                    a[j + 1, j + 1] += t_face
-                    a[j, j + 1] -= t_face
-                    a[j + 1, j] -= t_face
-                a[0, 0] += 2 * k[0] / h**2
-                a[4, 4] += 2 * k[4] / h**2
-                bc[0] = 2 * k[0] / h**2 * ud[0]
-                bc[4] = 2 * k[4] / h**2 * ud[1]
-
-                f_curve = np.asarray(equilibrium_fraction(u, material.b))
-                if closure.kind == "eq":
-                    ups = f_curve
-                elif closure.kind == "neq":
-                    bbar = 1 / (1 + tau * closure.rate)
-                    ups = (1 - bbar) * f_curve + bbar * ups_prev
-                else:
-                    beta = np.asarray(envelope_ii.upper(u_prev)) - np.asarray(
-                        envelope_ii.lower(u_prev)
-                    )
-                    beta = np.maximum(beta, 0.0)
-                    ups = f_curve + np.minimum(np.maximum(ups_prev - f_curve, 0.0), beta)
-                want = (
-                    np.asarray(capacity_energy(u, material))
-                    + ups
-                    + tau * (a @ u - bc)
-                    - (tau * f_n + np.asarray(capacity_energy(u_prev, material)) + ups_prev)
+                want = dense_step_residual(
+                    u, u_prev, ups_prev, closure, material, g.h, ud, f_n, tau
                 )
                 assert np.max(np.abs(got - want)) <= 1e-12
 
