@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
@@ -164,27 +163,31 @@ def run_pde(cfg, opts, out_dir, strict_init=False):
     return run
 
 
+def _cell_rows(states, x):
+    # (t, x, u, chi) of every cell of every state, one row per cell
+    return np.column_stack((
+        np.repeat([state.t for state in states], len(x)),
+        np.tile(x, len(states)),
+        np.ravel([state.u for state in states]),
+        np.ravel([state.upsilon for state in states]),
+    ))
+
+
 def write_pde_outputs(run, out_dir):
     cfg = run.cfg
     x = run.grid.centers
     os.makedirs(out_dir, exist_ok=True)
     n_steps = len(run.reports)
 
-    snapshot_rows = []
+    snapshot_states = []
     for t_out in cfg.out_times:
         n = int(round(t_out / cfg.tau))
         if n < 0 or n > n_steps or abs(n * cfg.tau - t_out) > 0.5 * cfg.tau + 1e-12:
             continue
-        state = run.states[n]
-        for j in range(cfg.M):
-            snapshot_rows.append((state.t, x[j], state.u[j], state.upsilon[j]))
-    _write_csv(os.path.join(out_dir, "snapshots.csv"), ("t", "x", "u", "chi"), snapshot_rows)
-
-    phase_rows = []
-    for state in run.states:
-        for j in range(cfg.M):
-            phase_rows.append((state.t, x[j], state.u[j], state.upsilon[j]))
-    _write_csv(os.path.join(out_dir, "phase.csv"), ("t", "x", "u", "chi"), phase_rows)
+        snapshot_states.append(run.states[n])
+    header = ("t", "x", "u", "chi")
+    _write_csv(os.path.join(out_dir, "snapshots.csv"), header, _cell_rows(snapshot_states, x))
+    _write_csv(os.path.join(out_dir, "phase.csv"), header, _cell_rows(run.states, x))
 
     iter_rows = []
     for n, report in enumerate(run.reports, start=1):
@@ -261,7 +264,7 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
 def run_ode_coupled(cfg, opts, out_dir, strict_init=False):
     times, u, chi = simulate_ode_coupled(cfg, opts, strict_init=strict_init)
     os.makedirs(out_dir, exist_ok=True)
-    rows = [(times[n], u[n], chi[n]) for n in range(1, len(times))]
+    rows = np.column_stack((times, u, chi))[1:]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), rows)
     return times, u, chi
 
@@ -273,7 +276,7 @@ def run_ode_driven(cfg, opts, out_dir, strict_init=False):
     v_init = float(initial_fraction(cfg, 0.0, u_fn(0.0)))
     rows = drive_play(u_fn, env, cfg.tau, cfg.T, v_init, strict=strict_init)
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), [tuple(r) for r in rows])
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), rows)
     return rows
 
 
@@ -359,7 +362,7 @@ def run_calibrate(cfg, out_dir):
     lower = env.lower(thetas)
     upper = env.upper(thetas)
     os.makedirs(out_dir, exist_ok=True)
-    rows = [(thetas[i], float(lower[i]), float(upper[i])) for i in range(len(thetas))]
+    rows = np.column_stack((thetas, lower, upper))
     _write_csv(os.path.join(out_dir, "envelope.csv"), ("theta", "F", "G"), rows)
     return env
 
@@ -367,21 +370,64 @@ def run_calibrate(cfg, out_dir):
 # ---------------------------------------------------------------------------
 # CSV helpers and entry point
 
+# rows of an array are formatted and written this many at a time
+_CSV_BLOCK_ROWS = 4096
 
-def _format_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+
+def _line_format(kinds):
+    # one %-format for a whole line: text as is, integers and bools as
+    # integers, everything else as a float at %.17g
+    cells = []
+    for kind in kinds:
+        if issubclass(kind, str):
+            cells.append("%s")
+        elif issubclass(kind, (bool, int, np.integer)):
+            cells.append("%d")
+        else:
+            cells.append("%.17g")
+    return ",".join(cells) + "\r\n"
 
 
 def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV lines ending in CRLF.
+
+    ``rows`` is a sequence of row tuples or a 2-D array.  A row is
+    formatted with one %-format string, built once per distinct tuple of
+    cell types; every cell of an array has the array's type, so a block of
+    its rows is formatted in one operation.  Text cells are written
+    unquoted, so they must not hold a comma, a quote or a line break; the
+    program writes only column names and empty cells.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        handle.write(",".join(header) + "\r\n")
+        if isinstance(rows, np.ndarray):
+            fmt = _line_format([rows.dtype.type] * rows.shape[1])
+            for i in range(0, len(rows), _CSV_BLOCK_ROWS):
+                block = rows[i:i + _CSV_BLOCK_ROWS]
+                handle.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+            return
+        formats = {}
         for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = _line_format(kinds)
+            handle.write(fmt % row)
+
+
+def _positive(kind):
+    # argparse type: a number of ``kind`` above zero, else a usage error
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    return parse
 
 
 def _build_parser():
@@ -401,8 +447,8 @@ def _build_parser():
         if mode == "pde":
             p.add_argument("--solver", choices=solvers.STRATEGIES)
         if mode in ("pde", "ode-coupled", "convergence"):
-            p.add_argument("--tol", type=float)
-            p.add_argument("--max-iter", type=int)
+            p.add_argument("--tol", type=_positive(float))
+            p.add_argument("--max-iter", type=_positive(int))
     return parser
 
 

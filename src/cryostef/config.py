@@ -230,6 +230,7 @@ def _validate(cfg):
         raise ConfigError(f"unknown closure {cfg.closure!r}")
     if cfg.envelope not in ("three-condition", "two-condition"):
         raise ConfigError(f"unknown envelope variant {cfg.envelope!r}")
+    _validate_laws(cfg)
     if cfg.face_average not in ("harmonic", "arithmetic"):
         raise ConfigError(f"unknown face averaging {cfg.face_average!r}")
     if cfg.mode == "convergence":
@@ -241,6 +242,25 @@ def _validate(cfg):
                 raise ConfigError(
                     f"fine step {cfg.tau_fine} does not divide sweep step {tau}"
                 )
+
+
+def _validate_laws(cfg):
+    # only the keys the mode reads: pde alone reads the capacities and
+    # conductivities, and ode-driven and calibrate always read the envelope
+    positive = ["b"]
+    if cfg.mode == "pde":
+        positive += ["c_u", "c_f", "k_u", "k_f"]
+    closure = cfg.closure if cfg.mode in ("pde", "ode-coupled", "convergence") else "hyst"
+    if closure == "neq":
+        positive.append("rate")
+    elif closure == "hyst":
+        positive.append("b_bar")
+    for key in positive:
+        value = getattr(cfg, key)
+        if not value > 0.0:
+            raise ConfigError(f"key {key!r} must be positive, got {value!r}")
+    if closure == "hyst" and not cfg.theta0 < 0.0:
+        raise ConfigError(f"key 'theta0' must be negative, got {cfg.theta0!r}")
 
 
 @functools.lru_cache(maxsize=256)

@@ -31,20 +31,65 @@ def _exp(z):
     return np.where(z < EXP_FLOOR, 0.0, np.exp(np.maximum(z, EXP_FLOOR)))
 
 
+class PointwiseLaws:
+    """Every pointwise law at one temperature state ``u``, from one exponential.
+
+    ``e = exp(b*min(u, 0))`` (zero below the exp floor) is computed once,
+    the fraction and the thawed mask ``u > 0`` at most once, on first use;
+    the fraction, its slope, the sensible energy, its slope and the
+    conductivity all follow from them.  The fraction takes its thawed
+    value 1 from ``u >= 0`` on; its slope and the sensible energy switch
+    branch only at ``u > 0``, so at the kink they take the frozen-side
+    limit.  ``m`` supplies the material coefficients; the steepness is
+    always ``b``.
+    """
+
+    __slots__ = ("u", "b", "e", "_fraction", "_thawed")
+
+    def __init__(self, u, b):
+        if b <= 0.0:
+            raise ValueError(f"steepness must be positive, got {b}")
+        u = np.asarray(u, dtype=float)
+        self.u = u
+        self.b = b
+        self.e = _exp(np.minimum(b * u, 0.0))
+        self._fraction = None
+        self._thawed = None
+
+    @property
+    def fraction(self):
+        if self._fraction is None:
+            self._fraction = np.where(self.u >= 0.0, 1.0, self.e)
+        return self._fraction
+
+    @property
+    def thawed(self):
+        if self._thawed is None:
+            self._thawed = self.u > 0.0
+        return self._thawed
+
+    def fraction_slope(self):
+        return np.where(self.thawed, 0.0, self.b * self.e)
+
+    def capacity_energy(self, m):
+        frozen = (m.c_u - m.c_f) * (self.e - 1.0) / self.b + m.c_f * self.u
+        return np.where(self.thawed, m.c_u * self.u, frozen)
+
+    def capacity_slope(self, m):
+        return np.where(self.thawed, m.c_u, (m.c_u - m.c_f) * self.e + m.c_f)
+
+    def conductivity(self, m):
+        return m.k_f + (m.k_u - m.k_f) * self.fraction
+
+
 def equilibrium_fraction(u, b):
     """Liquid fraction at temperature ``u``: exp(b*u) below zero, 1 above."""
-    if b <= 0.0:
-        raise ValueError(f"steepness must be positive, got {b}")
-    u = np.asarray(u, dtype=float)
-    return np.where(u >= 0.0, 1.0, _exp(np.minimum(b * u, 0.0)))
+    return PointwiseLaws(u, b).fraction
 
 
 def fraction_derivative(u, b):
     """Slope of the equilibrium fraction; frozen-side limit b at the kink."""
-    if b <= 0.0:
-        raise ValueError(f"steepness must be positive, got {b}")
-    u = np.asarray(u, dtype=float)
-    return np.where(u > 0.0, 0.0, b * _exp(np.minimum(b * u, 0.0)))
+    return PointwiseLaws(u, b).fraction_slope()
 
 
 @dataclass(frozen=True)
@@ -71,22 +116,17 @@ class ScaledMaterial:
 
 def capacity_energy(u, m):
     """Sensible part of the energy density; continuous, zero at u=0."""
-    u = np.asarray(u, dtype=float)
-    bu = np.minimum(m.b * u, 0.0)
-    frozen = (m.c_u - m.c_f) * (_exp(bu) - 1.0) / m.b + m.c_f * u
-    return np.where(u > 0.0, m.c_u * u, frozen)
+    return PointwiseLaws(u, m.b).capacity_energy(m)
 
 
 def capacity_derivative(u, m):
     """Slope of the sensible energy; the two one-sided limits agree at 0."""
-    u = np.asarray(u, dtype=float)
-    bu = np.minimum(m.b * u, 0.0)
-    return np.where(u > 0.0, m.c_u, (m.c_u - m.c_f) * _exp(bu) + m.c_f)
+    return PointwiseLaws(u, m.b).capacity_slope(m)
 
 
 def conductivity(u, m):
     """Heat conductivity blended between frozen and unfrozen values."""
-    return m.k_f + (m.k_u - m.k_f) * equilibrium_fraction(u, m.b)
+    return PointwiseLaws(u, m.b).conductivity(m)
 
 
 def conductivity_derivative(u, m):

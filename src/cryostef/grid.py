@@ -75,18 +75,20 @@ def face_transmissibilities(k, h, face_average=HARMONIC):
     return k_face / (h * h)
 
 
-def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC):
+def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None):
     """Assemble the diffusion matrix at temperature state ``u``.
 
     Interior faces use the chosen average of the two adjacent cell
     conductivities; boundary faces use the adjacent cell's conductivity
-    over half a cell, which is where the Dirichlet values enter.
+    over half a cell, which is where the Dirichlet values enter.  ``k`` is
+    the cell conductivity at ``u`` when the caller already holds it.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.num_cells,):
         raise ValueError(f"state length {u.shape} does not match grid {grid.num_cells}")
     h = grid.h
-    k = conductivity(u, material)
+    if k is None:
+        k = conductivity(u, material)
     t_int = face_transmissibilities(k, h, face_average)
     t_left = 2.0 * k[0] / (h * h)
     t_right = 2.0 * k[-1] / (h * h)

@@ -99,11 +99,12 @@ def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None, r0=None):
 
     ``budget`` bounds the number of updates (defaults to opts.max_inner);
     the natural initial guess is the previous time-step solution.  ``r0``
-    is ``residual_fn(u0)`` when the caller already holds it.
+    is ``residual_fn(u0)`` when the caller already holds it.  ``u0`` is
+    not copied: iterates are fresh arrays and none is modified in place.
     """
     if budget is None:
         budget = opts.max_inner
-    u = np.array(u0, dtype=float, copy=True)
+    u = np.asarray(u0, dtype=float)
     r = residual_fn(u) if r0 is None else r0
     history = [float(np.max(np.abs(r)))]
     iters = 0

@@ -23,10 +23,9 @@ from . import solve as solvers
 from .constitutive import (
     EXP_FLOOR,
     HysteresisEnvelope,
-    capacity_derivative,
+    PointwiseLaws,
     capacity_energy,
     equilibrium_fraction,
-    fraction_derivative,
 )
 from .errors import InfeasibleState, InvalidBounds, NonConvergence
 from .grid import assemble, boundary_transmissibilities
@@ -88,7 +87,11 @@ class TimeState:
 
 def closure_fraction(closure, u, upsilon_prev, beta, tau, material):
     """Fraction update of the active closure at candidate temperatures ``u``."""
-    f = equilibrium_fraction(u, material.b)
+    return _closure_update(closure, equilibrium_fraction(u, material.b), upsilon_prev, beta, tau)
+
+
+def _closure_update(closure, f, upsilon_prev, beta, tau):
+    # the closure's fraction given the equilibrium fraction f at the iterate
     if closure.kind == EQ:
         return f
     if closure.kind == NEQ:
@@ -99,16 +102,16 @@ def closure_fraction(closure, u, upsilon_prev, beta, tau, material):
     return f + np.clip(upsilon_prev - f, 0.0, beta)
 
 
-def _closure_slope(closure, u, upsilon_prev, beta, tau, material):
-    # dY/dU diagonal; the clamp contributes nothing while strictly inside
-    # its interval and the full fraction slope while pinned to a bound.
-    fp = fraction_derivative(u, material.b)
+def _closure_slope(closure, f, fp, upsilon_prev, beta, tau):
+    # dY/dU diagonal from the fraction f and its slope fp; the clamp
+    # contributes nothing while strictly inside its interval and the full
+    # fraction slope while pinned to a bound.
     if closure.kind == EQ:
         return fp
     if closure.kind == NEQ:
         w = 1.0 / (1.0 + tau * closure.rate)
         return (1.0 - w) * fp
-    s = upsilon_prev - equilibrium_fraction(u, material.b)
+    s = upsilon_prev - f
     interior = (s > 0.0) & (s < beta)
     return np.where(interior, 0.0, fp)
 
@@ -120,6 +123,10 @@ class StepProblem:
     are fixed at construction; the diffusion matrix is supplied by
     ``assembler`` and may be refreshed at any iterate, which is what the
     matrix-lagging outer loop does.
+
+    The pointwise laws are evaluated once per iterate: the last evaluation
+    is kept with the array it was made at and reused while the same array
+    object comes back.  Iterates are therefore never modified in place.
     """
 
     def __init__(self, prev, closure, tau, f_n, material, assembler):
@@ -136,28 +143,44 @@ class StepProblem:
             + prev.upsilon
         )
         self.initial_guess = np.array(prev.u, dtype=float, copy=True)
+        # holding the array keeps its id from being reused by another one
+        self._laws_at = None
+        self._laws = None
+
+    def laws(self, u):
+        """The pointwise laws at ``u``, evaluated once per iterate object."""
+        if u is not self._laws_at:
+            self._laws = PointwiseLaws(u, self.material.b)
+            self._laws_at = u
+        return self._laws
 
     def assemble(self, u):
         return self.assembler(u)
 
     def closure_fraction(self, u):
-        return closure_fraction(
-            self.closure, u, self.upsilon_prev, self.beta, self.tau, self.material
+        return _closure_update(
+            self.closure, self.laws(u).fraction, self.upsilon_prev, self.beta, self.tau
         )
 
     def residual(self, u, asm):
         return (
-            capacity_energy(u, self.material)
+            self.laws(u).capacity_energy(self.material)
             + self.closure_fraction(u)
             + self.tau * (asm.matvec(u) - asm.bc_rhs)
             - self.rhs
         )
 
     def jacobian(self, u, asm):
+        laws = self.laws(u)
         diag = (
-            capacity_derivative(u, self.material)
+            laws.capacity_slope(self.material)
             + _closure_slope(
-                self.closure, u, self.upsilon_prev, self.beta, self.tau, self.material
+                self.closure,
+                laws.fraction,
+                laws.fraction_slope(),
+                self.upsilon_prev,
+                self.beta,
+                self.tau,
             )
             + self.tau * asm.diag
         )
@@ -179,7 +202,9 @@ def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average=
     f_n = np.broadcast_to(np.asarray(f_fn(t_new), dtype=float), prev.u.shape)
 
     def assembler(u):
-        return assemble(u, material, grid, ud_left, ud_right, face_average)
+        # the conductivity comes from the problem's evaluation at u
+        k = problem.laws(u).conductivity(material)
+        return assemble(u, material, grid, ud_left, ud_right, face_average, k=k)
 
     problem = StepProblem(prev, closure, tau, f_n, material, assembler)
     try:

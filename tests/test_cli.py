@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import warnings
 from collections import Counter
@@ -139,6 +140,41 @@ class TestConfigParsing:
         ))
         assert len(parse_config_text(path.read_text())) == len(fields(RunConfig)) - 1
         assert load_config(path, "pde") == defaults
+
+    @pytest.mark.parametrize(
+        "mode, text, key",
+        [
+            ("pde", "c_u = 0", "c_u"),
+            ("pde", "k_f = -1", "k_f"),
+            ("pde", "b = 0", "b"),
+            ("pde", "closure = neq\nrate = 0", "rate"),
+            ("pde", "closure = hyst\nb_bar = 0", "b_bar"),
+            ("pde", "closure = hyst\ntheta0 = 1", "theta0"),
+            ("ode-coupled", "closure = neq\nrate = -2", "rate"),
+            ("convergence", "b_bar = 0", "b_bar"),
+            ("ode-driven", "theta0 = 0", "theta0"),
+            ("calibrate", "b = -1", "b"),
+        ],
+    )
+    def test_law_keys_checked_at_load(self, tmp_path, mode, text, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"key '{key}' must be"):
+            load_config(path, mode)
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [
+            ("ode-coupled", "c_u = 0\nk_f = 0"),  # one point with c(u) = u, no conductivity
+            ("ode-coupled", "closure = eq\nrate = 0\nb_bar = 0\ntheta0 = 1"),
+            ("pde", "closure = eq\nrate = 0"),
+            ("calibrate", "closure = neq\nrate = 0"),  # calibrate reads no closure
+        ],
+    )
+    def test_keys_the_mode_does_not_read_load(self, tmp_path, mode, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        load_config(path, mode)
 
     def test_malformed_numbers_keep_their_messages(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -398,6 +434,14 @@ class TestPdeMode:
         cfg.write_text("nonsense = 1\n")
         assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("closure, extra", [("eq", "c_u = 0\n"), ("neq", "rate = 0\n")])
+    def test_bad_law_key_exits_2_before_any_step(self, tmp_path, capsys, closure, extra):
+        cfg = tmp_path / "pde.cfg"
+        self.write_small_config(cfg, closure=closure, extra=extra)
+        assert main(["pde", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_source_exits_2_before_any_step(self, tmp_path):
         cfg = tmp_path / "pde.cfg"
         self.write_small_config(cfg, extra="source = 1 +\n")
@@ -466,3 +510,66 @@ class TestModeFlags:
             main(argv + ["--out", str(tmp_path / "out")])
         assert info.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pde", "--tol", "0"],
+            ["pde", "--tol", "-0.5"],
+            ["pde", "--tol", "nan"],
+            ["pde", "--max-iter", "0"],
+            ["ode-coupled", "--max-iter", "-3"],
+            ["convergence", "--tol", "0"],
+        ],
+    )
+    def test_nonpositive_solver_flag_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert f"argument {argv[1]}: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestCsvWriter:
+    def test_bytes_match_csv_writer_at_17_digits(self, tmp_path):
+        # the former writer, csv.writer fed the old per-cell rule, is the oracle
+        def old_cell(value):
+            if isinstance(value, str):
+                return value
+            if isinstance(value, (bool, int, np.integer)):
+                return str(int(value))
+            return f"{float(value):.17g}"
+
+        def oracle(header, rows):
+            out = io.StringIO(newline="")
+            writer = csv.writer(out)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([old_cell(v) for v in row])
+            return out.getvalue().encode("utf-8")
+
+        header = ("a", "b", "c", "d")
+        rows = [
+            ("", 3, np.int64(-7), True),
+            (False, 0.1, np.float64(0.1), -0.0),
+            (math.inf, -math.inf, math.nan, 1e-300),
+            (np.float64(-0.0), 5e-324, 1.7976931348623157e308, 2**63),
+            (1.0, 2.5, "", np.int32(12)),
+            (0.1, 0.2, 0.30000000000000004, 123456789.0),
+        ]
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, header, rows)
+        assert path.read_bytes() == oracle(header, rows)
+        assert path.read_bytes().endswith(b"123456789\r\n")
+
+        # array rows, written in blocks; more rows than one block holds
+        values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1, -2.5e-7])
+        arrays = [
+            np.random.default_rng(3).choice(values, size=(2 * cli._CSV_BLOCK_ROWS + 5, 3)),
+            np.arange(-6, 6, dtype=np.int64).reshape(4, 3),
+            np.array([[True, False, True]]),
+            np.empty((0, 3)),
+        ]
+        for array in arrays:
+            cli._write_csv(path, header[:3], array)
+            assert path.read_bytes() == oracle(header[:3], array), array.dtype

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from cryostef.constitutive import (
+    EXP_FLOOR,
     HysteresisEnvelope,
+    PointwiseLaws,
     ScaledMaterial,
     calibrate_envelope,
     capacity_derivative,
@@ -207,3 +212,74 @@ class TestEnvelope:
     def test_gap_nonnegative(self, envelope_ii):
         thetas = np.linspace(-8.0, 2.0, 500)
         assert np.all(np.asarray(envelope_ii.gap(thetas)) >= 0.0)
+
+
+def _reference_laws(u, m):
+    # each law as a standalone formula with its own exponential, the same
+    # floating-point operations in the same order as the shared evaluation
+    def exp_floored(z):
+        return np.where(z < EXP_FLOOR, 0.0, np.exp(np.maximum(z, EXP_FLOOR)))
+
+    bu = np.minimum(m.b * u, 0.0)
+    fraction = np.where(u >= 0.0, 1.0, exp_floored(bu))
+    return {
+        "fraction": fraction,
+        "fraction_slope": np.where(u > 0.0, 0.0, m.b * exp_floored(bu)),
+        "capacity_energy": np.where(
+            u > 0.0, m.c_u * u, (m.c_u - m.c_f) * (exp_floored(bu) - 1.0) / m.b + m.c_f * u
+        ),
+        "capacity_slope": np.where(u > 0.0, m.c_u, (m.c_u - m.c_f) * exp_floored(bu) + m.c_f),
+        "conductivity": m.k_f + (m.k_u - m.k_f) * fraction,
+    }
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _states(draw):
+    # the kink, signed zeros, tiny and huge magnitudes, and b*u at and just
+    # past the exp floor, mixed with arbitrary finite temperatures
+    b = draw(st.floats(min_value=0.05, max_value=20.0))
+    floor = EXP_FLOOR / b
+    special = st.sampled_from([
+        0.0, -0.0, -5e-324, -1e-300, -1e-12, 1e-300, 1e300, -1e300,
+        floor, np.nextafter(floor, 0.0), np.nextafter(floor, -np.inf), 2.0 * floor,
+    ])
+    cells = st.one_of(special, st.floats(min_value=-1e300, max_value=1e300))
+    u = draw(arrays(float, st.integers(1, 40), elements=cells))
+    m = ScaledMaterial(b=b, c_u=draw(_positive), c_f=draw(_positive), k_u=draw(_positive),
+                       k_f=draw(_positive))
+    return u, m
+
+
+class TestPointwiseLaws:
+    @settings(max_examples=300, deadline=None)
+    @given(_states())
+    def test_shared_evaluation_equals_each_law_bit_for_bit(self, state):
+        u, m = state
+        laws = PointwiseLaws(u, m.b)
+        # read in the order a Newton iterate reads them, fraction first
+        shared = {
+            "fraction": laws.fraction,
+            "capacity_energy": laws.capacity_energy(m),
+            "conductivity": laws.conductivity(m),
+            "capacity_slope": laws.capacity_slope(m),
+            "fraction_slope": laws.fraction_slope(),
+        }
+        public = {
+            "fraction": equilibrium_fraction(u, m.b),
+            "fraction_slope": fraction_derivative(u, m.b),
+            "capacity_energy": capacity_energy(u, m),
+            "capacity_slope": capacity_derivative(u, m),
+            "conductivity": conductivity(u, m),
+        }
+        reference = _reference_laws(u, m)
+        for name, value in shared.items():
+            assert np.array_equal(value, public[name]), name
+            assert np.array_equal(value, reference[name]), name
+        # the kink conventions: the fraction saturates at u = 0, its slope
+        # takes the frozen side there
+        at_kink = u == 0.0
+        assert np.all(shared["fraction"][at_kink] == 1.0)
+        assert np.all(shared["fraction_slope"][at_kink] == m.b)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bisect, dense_newton_full, thomas_numpy
 
-from cryostef import cli, solve
+from cryostef import cli, constitutive, solve
 from cryostef.config import load_config
 from cryostef.constitutive import ScaledMaterial, capacity_energy, equilibrium_fraction
 from cryostef.errors import Divergence, NonConvergence, SingularJacobian
@@ -434,4 +434,57 @@ class TestFastKernelGuard:
             )
         # one residual to start, one per Newton update, one true residual per outer pass
         assert counts == [1 + r.inner_iters_total + r.outer_iters for r in shipped.reports]
+        assert any(r.outer_iters > 1 for r in shipped.reports)
+
+
+class TestLawsOncePerIterate:
+    def run_pde(self, monkeypatch, closure, reuse=True):
+        # a short pde run counting constitutive._exp calls per step; with
+        # ``reuse`` off every call into the laws evaluates them afresh
+        counts = []
+        exp = constitutive._exp
+        advance = cli.advance
+
+        def counting_exp(z):
+            counts[-1] += 1
+            return exp(z)
+
+        def counting_advance(*args, **kwargs):
+            counts.append(0)
+            return advance(*args, **kwargs)
+
+        def fresh_laws(self, u):
+            return constitutive.PointwiseLaws(u, self.material.b)
+
+        monkeypatch.setattr(constitutive, "_exp", counting_exp)
+        monkeypatch.setattr(cli, "advance", counting_advance)
+        if not reuse:
+            monkeypatch.setattr(StepProblem, "laws", fresh_laws)
+        cfg = load_config(None, "pde", overrides={"closure": closure, "T": 0.5})
+        counts.append(0)  # initial data, before the first step
+        run = cli.simulate_pde(cfg, SolverOptions())
+        monkeypatch.undo()
+        return run, counts[1:]
+
+    @pytest.mark.parametrize("closure", ["eq", "neq", "hyst"])
+    def test_one_evaluation_per_iterate_changes_no_bits(self, monkeypatch, closure):
+        shipped, counts = self.run_pde(monkeypatch, closure)
+        fresh, _ = self.run_pde(monkeypatch, closure, reuse=False)
+
+        for a, b in zip(shipped.states, fresh.states, strict=True):
+            assert a.t == b.t
+            assert np.array_equal(a.u, b.u)
+            assert np.array_equal(a.upsilon, b.upsilon)
+        for a, b in zip(shipped.reports, fresh.reports, strict=True):
+            assert (a.outer_iters, a.inner_iters_total, a.residual_history) == (
+                b.outer_iters,
+                b.inner_iters_total,
+                b.residual_history,
+            )
+        # one exponential per distinct iterate (the initial guess and each
+        # Newton update) plus the sensible energy of the previous state in
+        # the right-hand side and, for hyst, the two lower-curve evaluations
+        # of the envelope gap
+        fixed = 1 + (2 if closure == "hyst" else 0)
+        assert counts == [1 + r.inner_iters_total + fixed for r in shipped.reports]
         assert any(r.outer_iters > 1 for r in shipped.reports)
