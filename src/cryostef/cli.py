@@ -360,7 +360,7 @@ def run_calibrate(cfg, out_dir):
     print(f"D = {env.D:.4f}")
     thetas = np.linspace(cfg.theta0 - 2.0, 2.0, 1000)
     lower = env.lower(thetas)
-    upper = env.upper(thetas)
+    upper = env.upper(thetas, lower)
     os.makedirs(out_dir, exist_ok=True)
     rows = np.column_stack((thetas, lower, upper))
     _write_csv(os.path.join(out_dir, "envelope.csv"), ("theta", "F", "G"), rows)

@@ -10,6 +10,7 @@ runs the documented reference experiment of that mode.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import re
@@ -263,13 +264,27 @@ def _validate_laws(cfg):
         raise ConfigError(f"key 'theta0' must be negative, got {cfg.theta0!r}")
 
 
+# the syntax an expression may use; attributes, subscripts, lambdas, comprehensions,
+# assignments, unpacking and text, which could reach past the namespace, are not in it
+_EXPR_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.IfExp, ast.BinOp, ast.UnaryOp,
+    ast.BoolOp, ast.Compare, ast.operator, ast.unaryop, ast.boolop, ast.cmpop,
+)
+
+
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr):
-    # eval() of a string strips leading blanks; compile() does not
+    # eval() of a string strips leading blanks; ast.parse() does not
     try:
-        return compile(expr.lstrip(" \t"), "<config>", "eval")
+        tree = ast.parse(expr.lstrip(" \t"), "<config>", "eval")
     except (SyntaxError, ValueError) as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
+    for node in ast.walk(tree):
+        text = isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+        if text or not isinstance(node, _EXPR_NODES) or getattr(node, "id", "").startswith("_"):
+            what = f"{type(node).__name__} {ast.unparse(node)}"
+            raise ConfigError(f"expression {expr!r} may not use {what}")
+    return compile(tree, "<config>", "eval")
 
 
 def eval_expression(expr, **names):

@@ -155,17 +155,19 @@ class HysteresisEnvelope:
     def lower(self, theta):
         return equilibrium_fraction(theta, self.b)
 
-    def upper(self, theta):
+    def upper(self, theta, lower=None):
+        """Upper curve; ``lower`` is the lower curve at ``theta`` when the caller holds it."""
         theta = np.asarray(theta, dtype=float)
         t_mid = np.clip(theta, self.theta0, 0.0)
         g_mid = self.a * np.exp(self.b_bar * t_mid) + self.D * t_mid + self.C
         g_mid = np.minimum(g_mid, 1.0)
         inside = (theta >= self.theta0) & (theta <= 0.0)
-        return np.where(inside, g_mid, self.lower(theta))
+        return np.where(inside, g_mid, self.lower(theta) if lower is None else lower)
 
     def gap(self, theta):
         """Width of the envelope, clipped at zero against float rounding."""
-        return np.maximum(self.upper(theta) - self.lower(theta), 0.0)
+        lower = self.lower(theta)
+        return np.maximum(self.upper(theta, lower) - lower, 0.0)
 
 
 def calibrate_envelope(b, b_bar, theta0, variant=THREE_CONDITION):

@@ -10,15 +10,12 @@ pinned to one of the moving bounds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleState, InvalidBounds
-
-# Slack allowed when checking that an incoming state obeys its interval.
-FEASIBILITY_SLACK = 1e-12
+from .errors import InvalidBounds
+from .stepper import Closure, validate_initial_fraction
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,10 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     previous temperature (the gap is lagged by one step).  Returns an array
     of rows ``(t, u, chi)`` for steps 1..N with N = round(T/tau).
 
-    ``v_init`` must start inside the envelope at u(0); with ``strict`` off
-    an infeasible start is clamped in, with a warning.
+    The drive is sampled at every step time, one call each, and both curves
+    are evaluated once over the whole drive; only the clamp runs per step.
+    ``v_init`` is made admissible at u(0) by the hysteretic initial-fraction
+    rule: with ``strict`` off an infeasible start is clamped, with a warning.
     """
     if tau <= 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
@@ -60,29 +59,12 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {tau}")
 
-    u_prev = float(u_schedule(0.0))
-    lo = float(env.lower(u_prev))
-    # rounding can invert the curves at the exact match points
-    hi = max(float(env.upper(u_prev)), lo)
-    if v_init < lo - FEASIBILITY_SLACK or v_init > hi + FEASIBILITY_SLACK:
-        if strict:
-            raise InfeasibleState(
-                f"initial fraction {v_init} outside envelope [{lo}, {hi}] at u={u_prev}"
-            )
-        warnings.warn(
-            f"initial fraction {v_init} clamped into envelope [{lo}, {hi}]",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    chi = min(max(v_init, lo), hi)
-
-    rows = np.empty((n_steps, 3))
-    for n in range(1, n_steps + 1):
-        t = n * tau
-        u = float(u_schedule(t))
-        beta = float(env.gap(u_prev))
-        f_u = float(env.lower(u))
+    u = np.array([float(u_schedule(n * tau)) for n in range(n_steps + 1)])
+    chi = float(validate_initial_fraction(Closure.hysteresis(env), None, u[0], v_init, strict))
+    lower = env.lower(u[1:]).tolist()
+    gap = env.gap(u[:-1]).tolist()
+    chis = []
+    for f_u, beta in zip(lower, gap):
         chi = f_u + play_step(chi - f_u, 0.0, beta)
-        rows[n - 1] = (t, u, chi)
-        u_prev = u
-    return rows
+        chis.append(chi)
+    return np.column_stack((np.arange(1, n_steps + 1) * tau, u[1:], chis))

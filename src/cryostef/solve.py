@@ -15,11 +15,10 @@ iterates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import capacity_derivative, capacity_energy
 from .errors import Divergence, NonConvergence, SingularJacobian
 
 NEWTON_ALAG = "newton-alag"
@@ -108,7 +107,8 @@ def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None, r0=None):
     r = residual_fn(u) if r0 is None else r0
     history = [float(np.max(np.abs(r)))]
     iters = 0
-    while history[-1] > opts.tol:
+    # written so that a NaN residual is not taken as converged
+    while not history[-1] <= opts.tol:
         if iters >= budget:
             raise NonConvergence(
                 f"Newton stalled at residual {history[-1]:.3e} after {iters} iterations",
@@ -188,20 +188,30 @@ def fixed_point_monolithic(problem, opts):
     # capacity's lower slope in the denominator, and the fraction term
     # bounded by its saturation value in every cell
     m = problem.material
+    tau = problem.tau
     c_min = min(m.c_u, m.c_f)
     bound = (
         float(np.linalg.norm(problem.rhs)) + math.sqrt(u.size) * FRACTION_SUP
     ) / c_min
+    capacity_opts = replace(opts, tol=max(opts.tol * 1e-3, 1e-14))
     history = []
     inner_total = 0
+    # the matrix at each sweep's iterate also gives the true residual that ends the sweep before
+    asm = problem.assemble(u)
     for sweep in range(1, opts.max_outer + 1):
-        asm = problem.assemble(u)
-        lagged = problem.closure_fraction(u)
-        w = problem.rhs - lagged + problem.tau * asm.bc_rhs
-        u_new, inner = _capacity_solve(problem, asm, w, u, opts)
-        inner_total += inner
+        w = problem.rhs - problem.closure_fraction(u) + tau * asm.bc_rhs
+        off = tau * asm.off
+        u_new, rep = newton_frozen_a(
+            lambda v: problem.laws(v).capacity_energy(m) + tau * asm.matvec(v) - w,
+            lambda v: (problem.laws(v).capacity_slope(m) + tau * asm.diag, off),
+            u,
+            capacity_opts,
+            budget=40,
+        )
+        inner_total += rep.inner_iters_total
         diff = float(np.max(np.abs(u_new - u)))
-        true_norm = float(np.max(np.abs(problem.residual(u_new, problem.assemble(u_new)))))
+        asm = problem.assemble(u_new)
+        true_norm = float(np.max(np.abs(problem.residual(u_new, asm))))
         history.append(true_norm)
         if float(np.linalg.norm(u_new)) > 2.0 * bound:
             raise Divergence(
@@ -215,22 +225,6 @@ def fixed_point_monolithic(problem, opts):
         residual=history[-1],
         report=StepReport(opts.max_outer, inner_total, history, False),
     )
-
-
-def _capacity_solve(problem, asm, w, u0, opts, max_iter=40):
-    # Newton for C(U) + tau*A_bar*U = w; exact in one step when c(u)=u.
-    m = problem.material
-    tau = problem.tau
-    tol = max(opts.tol * 1e-3, 1e-14)
-    off = tau * asm.off
-    u = np.array(u0, dtype=float, copy=True)
-    for it in range(max_iter + 1):
-        r = capacity_energy(u, m) + tau * asm.matvec(u) - w
-        if float(np.max(np.abs(r))) <= tol:
-            return u, it
-        diag = capacity_derivative(u, m) + tau * asm.diag
-        u = u - thomas_solve(diag, off, r)
-    raise NonConvergence("capacity solve stalled", residual=float(np.max(np.abs(r))))
 
 
 def solve_step(problem, opts):

@@ -86,7 +86,12 @@ class TimeState:
 
 
 def closure_fraction(closure, u, upsilon_prev, beta, tau, material):
-    """Fraction update of the active closure at candidate temperatures ``u``."""
+    """Fraction update of the active closure at candidate temperatures ``u``.
+
+    A negative hysteretic gap ``beta`` from the caller is rejected.
+    """
+    if closure.kind == HYST and np.any(np.asarray(beta) < 0.0):
+        raise InvalidBounds("negative envelope gap")
     return _closure_update(closure, equilibrium_fraction(u, material.b), upsilon_prev, beta, tau)
 
 
@@ -97,8 +102,6 @@ def _closure_update(closure, f, upsilon_prev, beta, tau):
     if closure.kind == NEQ:
         w = 1.0 / (1.0 + tau * closure.rate)
         return (1.0 - w) * f + w * upsilon_prev
-    if np.any(np.asarray(beta) < 0.0):
-        raise InvalidBounds("negative envelope gap")
     return f + np.clip(upsilon_prev - f, 0.0, beta)
 
 
@@ -219,32 +222,41 @@ def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average=
 def validate_initial_fraction(closure, material, u0, chi0, strict=False):
     """Apply the per-closure rules to a proposed initial fraction.
 
-    Equilibrium runs always restart on the fraction curve.  Kinetic runs
-    accept anything in [0, 1].  Hysteretic runs clamp into the envelope at
-    the initial temperatures.  Out-of-range data raises in strict mode and
-    is clamped with a warning otherwise.
+    Equilibrium runs always restart on the fraction curve; theirs is the
+    only rule that reads ``material``.  Kinetic runs accept anything in
+    [0, 1].  Hysteretic runs clamp into the envelope at the initial
+    temperatures.  Out-of-range data raises in strict mode and is clamped
+    with a warning otherwise; the message names the value, its interval
+    and its temperature, for an array at the cell furthest outside.
     """
     u0 = np.asarray(u0, dtype=float)
     if closure.kind == EQ:
         return np.asarray(equilibrium_fraction(u0, material.b), dtype=float)
     chi0 = np.broadcast_to(np.asarray(chi0, dtype=float), u0.shape)
     if closure.kind == NEQ:
+        bounds = "unit interval"
         lo = np.zeros_like(u0)
         hi = np.ones_like(u0)
     else:
+        bounds = "envelope"
         env = closure.envelope
         lo = np.asarray(env.lower(u0), dtype=float)
         # rounding can drop the upper curve below the lower one at the
         # exact match points; repair so the clamp interval is never inverted
-        hi = np.maximum(np.asarray(env.upper(u0), dtype=float), lo)
-    if np.any(chi0 < lo - 1e-12) or np.any(chi0 > hi + 1e-12):
-        if strict:
-            raise InfeasibleState("initial fraction outside its admissible range")
-        warnings.warn(
-            "initial fraction clamped into its admissible range",
-            RuntimeWarning,
-            stacklevel=2,
+        hi = np.maximum(np.asarray(env.upper(u0, lo), dtype=float), lo)
+    outside = (chi0 < lo - 1e-12) | (chi0 > hi + 1e-12)
+    if np.any(outside):
+        j = int(np.argmax(np.maximum(lo - chi0, chi0 - hi)))
+        message = (
+            f"initial fraction {chi0.flat[j]} {'outside' if strict else 'clamped into'} its "
+            f"{bounds} [{lo.flat[j]}, {hi.flat[j]}] at u={u0.flat[j]}"
         )
+        if u0.ndim:
+            n_out = np.count_nonzero(outside)
+            message += f" in cell {j}, the worst of {n_out} of {u0.size} cells outside"
+        if strict:
+            raise InfeasibleState(message)
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     return np.clip(chi0, lo, hi)
 
 
@@ -286,18 +298,12 @@ def _fraction(u, b):
     return math.exp(z) if z >= EXP_FLOOR else 0.0
 
 
-def _fraction_slope(u, b):
-    if u > 0.0:
-        return 0.0
-    z = b * u
-    return b * math.exp(z) if z >= EXP_FLOOR else 0.0
-
-
-def _envelope_upper(theta, env):
+def _envelope_gap(theta, env):
+    # the upper curve is the lower one outside [theta0, 0], so no gap there
     if theta < env.theta0 or theta > 0.0:
-        return _fraction(theta, env.b)
+        return 0.0
     g = env.a * math.exp(env.b_bar * theta) + env.D * theta + env.C
-    return min(g, 1.0)
+    return max(min(g, 1.0) - _fraction(theta, env.b), 0.0)
 
 
 class ScalarOdeStepper:
@@ -317,8 +323,7 @@ class ScalarOdeStepper:
         self.tol = tol
         self.max_iter = max_iter
 
-    def _chi(self, u, chi_prev, beta, tau):
-        f = _fraction(u, self.b)
+    def _chi(self, f, chi_prev, beta, tau):
         if self.closure.kind == EQ:
             return f
         if self.closure.kind == NEQ:
@@ -326,30 +331,29 @@ class ScalarOdeStepper:
             return (1.0 - w) * f + w * chi_prev
         return f + min(max(chi_prev - f, 0.0), beta)
 
-    def _chi_slope(self, u, chi_prev, beta, tau):
-        fp = _fraction_slope(u, self.b)
+    def _chi_slope(self, f, fp, chi_prev, beta, tau):
         if self.closure.kind == EQ:
             return fp
         if self.closure.kind == NEQ:
             w = 1.0 / (1.0 + tau * self.closure.rate)
             return (1.0 - w) * fp
-        s = chi_prev - _fraction(u, self.b)
+        s = chi_prev - f
         return 0.0 if 0.0 < s < beta else fp
 
     def step(self, u_prev, chi_prev, tau, f_value):
         """One implicit step; returns (u, chi, iterations, residual)."""
         g = tau * f_value + u_prev + chi_prev
-        beta = 0.0
-        if self.closure.kind == HYST:
-            env = self.closure.envelope
-            beta = max(_envelope_upper(u_prev, env) - _fraction(u_prev, env.b), 0.0)
+        beta = _envelope_gap(u_prev, self.closure.envelope) if self.closure.kind == HYST else 0.0
         u = u_prev
         for it in range(self.max_iter + 1):
-            chi = self._chi(u, chi_prev, beta, tau)
+            # one exponential per iterate; the fraction slope is b*f below the kink
+            f = _fraction(u, self.b)
+            chi = self._chi(f, chi_prev, beta, tau)
             phi = u + chi + tau * self.a_coef * u - g
             if abs(phi) <= self.tol:
                 return u, chi, it, abs(phi)
-            slope = 1.0 + self._chi_slope(u, chi_prev, beta, tau) + tau * self.a_coef
+            fp = 0.0 if u > 0.0 else self.b * f
+            slope = 1.0 + self._chi_slope(f, fp, chi_prev, beta, tau) + tau * self.a_coef
             u -= phi / slope
         raise NonConvergence(
             f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)

@@ -111,3 +111,29 @@ def thomas_numpy(diag, off, rhs):
     for i in range(n - 2, -1, -1):
         x[i] = (g[i] - off[i] * x[i + 1]) / w[i]
     return x
+
+
+def drive_play_per_step(u_schedule, env, tau, T, v_init):
+    """The driven play one step at a time, each curve at one temperature.
+
+    Samples the drive, the lower curve and the lagged gap (upper minus
+    lower, clipped at zero) per step as Python floats, after clamping
+    ``v_init`` into the envelope at u(0).  The production ``drive_play``
+    evaluates the curves over the whole drive at once and must give the
+    same rows bit for bit.
+    """
+    n_steps = int(round(T / tau))
+    u_prev = float(u_schedule(0.0))
+    lo = float(env.lower(u_prev))
+    hi = max(float(env.upper(u_prev)), lo)
+    chi = min(max(v_init, lo), hi)
+    rows = np.empty((n_steps, 3))
+    for n in range(1, n_steps + 1):
+        t = n * tau
+        u = float(u_schedule(t))
+        beta = max(float(env.upper(u_prev)) - float(env.lower(u_prev)), 0.0)
+        f_u = float(env.lower(u))
+        chi = f_u + min(max(chi - f_u, 0.0), beta)
+        rows[n - 1] = (t, u, chi)
+        u_prev = u
+    return rows

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -20,6 +21,7 @@ from cryostef.config import (
 )
 from cryostef.constitutive import calibrate_envelope, equilibrium_fraction
 from cryostef.errors import ConfigError
+from cryostef.grid import Grid1D
 from cryostef.solve import SolverOptions
 
 
@@ -121,6 +123,55 @@ class TestConfigParsing:
     def test_expression_leading_blanks_accepted(self):
         # eval() of a string strips leading spaces and tabs; keep that
         assert eval_expression(" \t2*t", t=1.5) == 3.0
+
+    @pytest.mark.parametrize(
+        "expr, what",
+        [
+            ("().__class__.__mro__[1].__subclasses__() and -5", "Attribute"),
+            ("x[0]", "Subscript"),
+            ("(lambda: 1)()", "Lambda"),
+            ("sum([v for v in x])", "ListComp"),
+            ("(y := 2)", "NamedExpr"),
+            ("maximum(*x)", "Starred"),
+            ("maximum(x, 0, out=x)", "keyword out=x"),
+            ("(1, 2)", "Tuple"),
+            ("len('abc')", "Constant 'abc'"),
+            ("_x + 1", "Name _x"),
+            ("__import__('os')", "Name __import__"),
+        ],
+    )
+    def test_expression_outside_whitelist_rejected_at_load(self, tmp_path, expr, what):
+        path = tmp_path / "run.cfg"
+        for key in ("u_init", "chi_init", "source", "forcing", "drive"):
+            path.write_text(f"{key} = {expr}\n")
+            with pytest.raises(ConfigError, match=re.escape(f"may not use {what}")):
+                load_config(path, "pde")
+
+    def test_escape_expression_exits_2_before_any_step(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("u_init = ().__class__.__mro__[1].__subclasses__() and -5\n")
+        assert main(["pde", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "may not use Attribute" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_documented_expressions_load(self, tmp_path):
+        # the defaults, the README's forms and the benchmark's forcing
+        path = tmp_path / "run.cfg"
+        for expr in (
+            "auto",
+            "-5",
+            "exp(-0.5)",
+            "F(u0) + 0.1",
+            "F(u0) if x < 0.5 else 1.0",
+            "-5 + 2*sin(pi*x)",
+            "0.1*sin(pi*x)*exp(-t)",
+            "(16 if t < 1 else 4)*cos(pi*t)",
+            "16.0*cos(pi*t) - 15.0 if t < 1.0 else 4.0*cos(pi*t) + (4.0*t - 30.0)",
+            "where(x < 0.5, maximum(x, 0.1), -abs(t)) ** 2 // 1 % 3",
+            "not x < 1 and t >= 2 or x == 3",
+        ):
+            path.write_text(f"chi_init = {expr}\nsource = {expr}\n")
+            load_config(path, "pde")
 
     def test_every_run_config_field_is_a_key(self, tmp_path):
         # each field but mode, written as text, loads back to its default
@@ -527,6 +578,43 @@ class TestModeFlags:
             main(argv + ["--out", str(tmp_path / "out")])
         assert info.value.code == 2
         assert f"argument {argv[1]}: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestInitialFractionMessages:
+    # the one initial-fraction rule names the value, its interval and its
+    # temperature in every mode, and for a grid the cell furthest outside
+
+    def pde_case(self, tmp_path):
+        cfg = tmp_path / "pde.cfg"
+        cfg.write_text("closure = hyst\nM = 10\ntau = 0.01\nT = 0.02\nchi_init = F(u0) + 0.3*x\n")
+        lo = float(equilibrium_fraction(-5.0, 1.0))  # the envelope closes at theta0 = -5
+        chi = lo + 0.3 * Grid1D(10).centers[9]
+        detail = (
+            f"its envelope [{lo}, {lo}] at u=-5.0 in cell 9, the worst of 10 of 10 cells outside"
+        )
+        return "pde", cfg, chi, detail
+
+    def driven_case(self, tmp_path):
+        cfg = tmp_path / "drive.cfg"
+        cfg.write_text("drive = 6 - t\ntau = 0.1\nT = 1\nchi_init = 0.25\n")
+        # the envelope is closed above freezing: both curves are 1 at u = 6
+        return "ode-driven", cfg, 0.25, "its envelope [1.0, 1.0] at u=6.0"
+
+    @pytest.mark.parametrize("case", ["pde_case", "driven_case"])
+    def test_warn_start_names_the_value_and_its_envelope(self, tmp_path, case):
+        mode, cfg, chi, detail = getattr(self, case)(tmp_path)
+        message = f"initial fraction {chi} clamped into {detail}"
+        with pytest.warns(RuntimeWarning, match=f"^{re.escape(message)}$"):
+            assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("case", ["pde_case", "driven_case"])
+    def test_strict_start_names_the_value_and_its_envelope(self, tmp_path, capsys, case):
+        mode, cfg, chi, detail = getattr(self, case)(tmp_path)
+        argv = [mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict-init"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"infeasible initial data: initial fraction {chi} outside {detail}\n"
         assert not (tmp_path / "out").exists()
 
 

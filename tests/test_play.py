@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import drive_play_per_step
 
-from cryostef.constitutive import calibrate_envelope
+from cryostef.constitutive import EXP_FLOOR, calibrate_envelope
 from cryostef.errors import InfeasibleState, InvalidBounds
 from cryostef.play import ConstraintInterval, drive_play, play_step, resolvent
 
@@ -139,3 +141,65 @@ class TestDrivePlay:
         chi = rows[:, 2]
         assert np.all(chi >= f_u - 1e-12)
         assert np.all(chi <= f_u + np.asarray(env.gap(u_prev)) + 1e-12)
+
+
+def assert_matches_per_step_loop(schedule, env, tau, T, v_init):
+    # an infeasible start is clamped, with a warning, on both sides
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = drive_play(schedule, env, tau, T, v_init, strict=False)
+    assert np.array_equal(rows, drive_play_per_step(schedule, env, tau, T, v_init))
+
+
+class TestWholeDrive:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        b=st.floats(0.5, 12.0),
+        b_bar=st.sampled_from([0.01, 0.1]),
+        theta0=st.floats(-8.0, -1.0),
+        variant=st.sampled_from(["three-condition", "two-condition"]),
+        tau=st.sampled_from([3.75e-3, 1e-2, 3.75e-2]),
+        u_min=st.floats(-800.0, -8.0),
+        u_max=st.floats(0.5, 10.0),
+        period=st.floats(0.1, 4.0),
+        v_init=st.floats(0.0, 1.0),
+    )
+    @example(b=10.0, b_bar=0.1, theta0=-5.0, variant="three-condition", tau=1e-2,
+             u_min=-90.0, u_max=1.0, period=1.0, v_init=0.0)
+    def test_sine_drive_matches_per_step_loop(
+        self, b, b_bar, theta0, variant, tau, u_min, u_max, period, v_init
+    ):
+        # every drive crosses theta0 and 0; u_min reaches below EXP_FLOOR/b
+        # whenever b*u_min < EXP_FLOOR, as in the explicit example
+        env = calibrate_envelope(b, b_bar, theta0, variant)
+        mid, half = 0.5 * (u_max + u_min), 0.5 * (u_max - u_min)
+
+        def schedule(t):
+            return mid + half * math.cos(2.0 * math.pi * t / period)
+
+        assert_matches_per_step_loop(schedule, env, tau, 1.5, v_init)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, -5.0, 5e-324, -5e-324, EXP_FLOOR,
+                                 float(np.nextafter(EXP_FLOOR, -np.inf)), -1e4]),
+                st.floats(-1e3, 10.0),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        variant=st.sampled_from(["three-condition", "two-condition"]),
+        v_init=st.floats(0.0, 1.0),
+    )
+    def test_drive_through_the_kinks_matches_per_step_loop(self, values, variant, v_init):
+        # temperatures exactly at 0, -0, theta0 = -5, the exp floor (b = 1)
+        # and just past it
+        env = calibrate_envelope(1.0, 0.1, -5.0, variant)
+        tau = 0.01
+
+        def schedule(t):
+            return values[int(round(t / tau))]
+
+        assert_matches_per_step_loop(schedule, env, tau, (len(values) - 1) * tau, v_init)

@@ -142,6 +142,23 @@ class TestNewtonFrozenA:
                 problem.initial_guess, SolverOptions(), budget=1,
             )
 
+    def test_nan_residual_runs_out_of_budget(self, unit_material):
+        # NaN meets no tolerance: the budget runs out and the solve fails
+        # instead of returning as converged, in the Newton step and in the
+        # fixed point's capacity solve alike
+        with pytest.raises(NonConvergence, match="residual nan after 2 iterations"):
+            newton_frozen_a(
+                lambda v: np.full(3, np.nan), lambda v: (np.ones(3), np.zeros(2)),
+                np.zeros(3), SolverOptions(), budget=2,
+            )
+        u_prev = np.array([-1.0, np.nan, -1.0])
+        problem = make_problem(
+            u_prev, np.zeros(3), Closure.equilibrium(), unit_material, Grid1D(3),
+            (-1.0, -1.0), np.zeros(3), 0.1,
+        )
+        with pytest.raises(NonConvergence, match="residual nan after 40 iterations"):
+            fixed_point_monolithic(problem, SolverOptions())
+
     def test_quadratic_tail_on_smooth_step(self, unit_material):
         # no cell crosses zero: the residual is smooth there and the final
         # Newton steps should contract quadratically
@@ -483,8 +500,8 @@ class TestLawsOncePerIterate:
             )
         # one exponential per distinct iterate (the initial guess and each
         # Newton update) plus the sensible energy of the previous state in
-        # the right-hand side and, for hyst, the two lower-curve evaluations
+        # the right-hand side and, for hyst, the one lower-curve evaluation
         # of the envelope gap
-        fixed = 1 + (2 if closure == "hyst" else 0)
+        fixed = 1 + (1 if closure == "hyst" else 0)
         assert counts == [1 + r.inner_iters_total + fixed for r in shipped.reports]
         assert any(r.outer_iters > 1 for r in shipped.reports)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -312,6 +313,19 @@ class TestInitialFraction:
         with pytest.warns(RuntimeWarning):
             out = validate_initial_fraction(Closure.kinetic(5.0), material, u0, np.array([1.4]))
         assert out[0] == 1.0
+
+    def test_message_names_the_worst_cell(self, material):
+        u0 = np.array([-2.0, -1.0, -3.0])
+        chi = np.array([1.2, 1.4, 0.5])
+        message = (
+            "initial fraction 1.4 clamped into its unit interval [0.0, 1.0] at u=-1.0 "
+            "in cell 1, the worst of 2 of 3 cells outside"
+        )
+        with pytest.warns(RuntimeWarning, match=f"^{re.escape(message)}$"):
+            validate_initial_fraction(Closure.kinetic(5.0), material, u0, chi)
+        strict_message = message.replace("clamped into", "outside")
+        with pytest.raises(InfeasibleState, match=f"^{re.escape(strict_message)}$"):
+            validate_initial_fraction(Closure.kinetic(5.0), material, u0, chi, strict=True)
 
     def test_strict_mode_raises(self, material, envelope_ii):
         u0 = np.array([-5.0])
