@@ -12,7 +12,6 @@ from .errors import (
     ConfigError,
     CryostefError,
     DegenerateCalibration,
-    DegenerateProbe,
     Divergence,
     InfeasibleState,
     InvalidBounds,
@@ -32,7 +31,6 @@ __all__ = [
     "ConstraintInterval",
     "CryostefError",
     "DegenerateCalibration",
-    "DegenerateProbe",
     "Divergence",
     "Grid1D",
     "HysteresisEnvelope",

@@ -29,7 +29,7 @@ from . import solve as solvers
 from .config import MODES, RunConfig, eval_expression, load_config
 from .constitutive import ScaledMaterial, calibrate_envelope, equilibrium_fraction
 from .errors import ConfigError, CryostefError, InfeasibleState, NonConvergence
-from .grid import Grid1D, assemble, lipschitz_probe
+from .grid import Grid1D, assemble
 from .play import drive_play
 from .solve import SolverOptions
 from .stepper import (
@@ -144,11 +144,7 @@ def _pde_diagnostics(run):
     problem = StepProblem(
         run.states[0], run.closure, cfg.tau, run.sources[0], run.material, assembler
     )
-
-    def probe(u1, u2, xi):
-        return lipschitz_probe(u1, u2, xi, run.material, run.grid, cfg.face_average)
-
-    return solvers.contraction_diagnostic(problem, probe_fn=probe)
+    return solvers.contraction_diagnostic(problem)
 
 
 def run_pde(cfg, opts, out_dir, strict_init=False):

@@ -53,11 +53,13 @@ class PiecewiseLinearSchedule:
         times = [t for t, _ in self.breakpoints]
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ConfigError(f"schedule breakpoints must strictly increase: {times}")
+        # the interpolation arrays, built once; not fields, so not compared
+        values = [v for _, v in self.breakpoints]
+        object.__setattr__(self, "_times", np.array(times, dtype=float))
+        object.__setattr__(self, "_values", np.array(values, dtype=float))
 
     def __call__(self, t):
-        ts = [p[0] for p in self.breakpoints]
-        vs = [p[1] for p in self.breakpoints]
-        return float(np.interp(t, ts, vs))
+        return float(np.interp(t, self._times, self._values))
 
 
 _PAIR_RE = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
@@ -127,31 +129,22 @@ class RunConfig:
     out_dir: str = "out"
 
 
+# the convergence sweep runs the ode-coupled reference at several steps
+_COUPLED_DEFAULTS = {
+    "closure": "hyst",
+    "b_bar": 0.1,
+    "tau": 0.01,
+    "T": 10.0,
+    "u_init": "-0.2",
+    "chi_init": "exp(-0.5)",
+}
+
 _MODE_DEFAULTS = {
     "pde": {},
-    "ode-coupled": {
-        "closure": "hyst",
-        "b_bar": 0.1,
-        "tau": 0.01,
-        "T": 10.0,
-        "u_init": "-0.2",
-        "chi_init": "exp(-0.5)",
-    },
-    "ode-driven": {
-        "closure": "hyst",
-        "tau": 3.75e-2,
-        "T": 30.0,
-        "chi_init": "auto",
-    },
+    "ode-coupled": _COUPLED_DEFAULTS,
+    "ode-driven": {"closure": "hyst", "tau": 3.75e-2, "T": 30.0},
     "calibrate": {"closure": "hyst"},
-    "convergence": {
-        "closure": "hyst",
-        "b_bar": 0.1,
-        "tau": 0.01,
-        "T": 10.0,
-        "u_init": "-0.2",
-        "chi_init": "exp(-0.5)",
-    },
+    "convergence": _COUPLED_DEFAULTS,
 }
 
 # each key's kind is the type of its RunConfig default; ``mode`` has none

@@ -32,10 +32,6 @@ class SingularJacobian(CryostefError):
     """Tridiagonal factorization broke down; the SPD assumptions failed."""
 
 
-class DegenerateProbe(CryostefError):
-    """Lipschitz probe called with coincident states or a zero vector."""
-
-
 class Divergence(CryostefError):
     """Fixed-point iterates left the a-priori bound region."""
 

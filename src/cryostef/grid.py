@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import conductivity
-from .errors import DegenerateProbe
 
 HARMONIC = "harmonic"
 ARITHMETIC = "arithmetic"
@@ -111,23 +110,3 @@ def boundary_transmissibilities(asm):
         return asm.diag[0] + asm.off[0], asm.diag[-1] + asm.off[-1]
     # single-cell matrices split the two boundary faces evenly
     return 0.5 * asm.diag[0], 0.5 * asm.diag[0]
-
-
-def lipschitz_probe(u1, u2, xi, material, grid, face_average=HARMONIC):
-    """Empirical ratio ||(A(u1)-A(u2)) xi|| / (||u1-u2|| ||xi||).
-
-    Sampling this over many state pairs estimates how strongly the matrix
-    reacts to temperature changes, which feeds the contraction
-    diagnostics.
-    """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    du = np.linalg.norm(u1 - u2)
-    nxi = np.linalg.norm(xi)
-    if du == 0.0 or nxi == 0.0:
-        raise DegenerateProbe("probe needs distinct states and a nonzero vector")
-    a1 = assemble(u1, material, grid, 0.0, 0.0, face_average)
-    a2 = assemble(u2, material, grid, 0.0, 0.0, face_average)
-    diff = a1.matvec(xi) - a2.matvec(xi)
-    return float(np.linalg.norm(diff) / (du * nxi))

@@ -28,6 +28,10 @@ STRATEGIES = (NEWTON_ALAG, FIXED_POINT)
 # Saturation value of the fraction term, used in the a-priori iterate bound.
 FRACTION_SUP = 1.0
 
+# Random probes per estimated constant, and their seed, in contraction_diagnostic.
+DIAGNOSTIC_PROBES = 32
+DIAGNOSTIC_SEED = 0
+
 
 @dataclass
 class SolverOptions:
@@ -134,11 +138,11 @@ def double_iteration(problem, opts):
     """
     u = np.array(problem.initial_guess, dtype=float, copy=True)
     asm = problem.assemble(u)
-    history = []
+    # each pass starts from the true residual the previous pass ended on
+    # (same iterate, same matrix), so the history records it once
+    r = problem.residual(u, asm)
+    history = [float(np.max(np.abs(r)))]
     inner_total = 0
-    # the true residual of the previous pass is the next pass's starting
-    # residual: same iterate, same matrix
-    r = None
     for outer in range(1, opts.max_outer + 1):
         try:
             u, rep = newton_frozen_a(
@@ -152,7 +156,7 @@ def double_iteration(problem, opts):
         except NonConvergence as err:
             # report the whole step, not only the pass that ran out of budget
             inner_total += err.report.inner_iters_total
-            history.extend(err.report.residual_history)
+            history.extend(err.report.residual_history[1:])
             raise NonConvergence(
                 f"Newton stalled at residual {err.residual:.3e} "
                 f"(inner iterations {inner_total}, outer passes {outer})",
@@ -160,7 +164,7 @@ def double_iteration(problem, opts):
                 report=StepReport(outer, inner_total, history, False),
             ) from err
         inner_total += rep.inner_iters_total
-        history.extend(rep.residual_history)
+        history.extend(rep.residual_history[1:])
         asm = problem.assemble(u)
         r = problem.residual(u, asm)
         true_norm = float(np.max(np.abs(r)))
@@ -236,35 +240,38 @@ def solve_step(problem, opts):
     raise ValueError(f"unknown solver strategy {opts.strategy!r}")
 
 
-def contraction_diagnostic(problem, probe_fn=None, n_probes=32, seed=0):
+def contraction_diagnostic(problem):
     """Analytic contraction bounds with probed matrix constants.
 
-    Estimates the matrix Lipschitz constant via ``probe_fn(u1, u2, xi)``
-    (zero when the matrix does not depend on the state) and the coercivity
-    constant from random Rayleigh quotients, then evaluates the two
-    contraction bounds: the matrix-lagging bound
-    ``tau*L_A*||g||/(1 + tau*kappa0)`` and the monolithic fixed-point
-    bound ``(tau*L_A + L_F)*(||g|| + F_sup)/(1 + tau*kappa0)``.  Reporting
-    only; probing uses a fixed seed so reports are reproducible.
+    Estimates the matrix Lipschitz constant as the largest
+    ``||(A(u1) - A(u2)) xi|| / (||u1 - u2|| ||xi||)`` over random probes
+    assembled by ``problem.assemble`` (zero when the matrix does not
+    depend on the state) and the coercivity constant from random Rayleigh
+    quotients, then evaluates the two contraction bounds: the
+    matrix-lagging bound ``tau*L_A*||g||/(1 + tau*kappa0)`` and the
+    monolithic fixed-point bound
+    ``(tau*L_A + L_F)*(||g|| + F_sup)/(1 + tau*kappa0)``.  Reporting only;
+    probing uses a fixed seed so reports are reproducible.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DIAGNOSTIC_SEED)
     u0 = np.asarray(problem.initial_guess, dtype=float)
     n = u0.shape[0]
     asm = problem.assemble(u0)
 
     kappa = np.inf
-    for _ in range(n_probes):
+    for _ in range(DIAGNOSTIC_PROBES):
         xi = rng.standard_normal(n)
         kappa = min(kappa, float(xi @ asm.matvec(xi) / (xi @ xi)))
 
     lipschitz = 0.0
-    if probe_fn is not None:
-        spread = max(1.0, float(np.max(np.abs(u0))))
-        for _ in range(n_probes):
-            u1 = u0 + spread * rng.standard_normal(n)
-            u2 = u0 + spread * rng.standard_normal(n)
-            xi = rng.standard_normal(n)
-            lipschitz = max(lipschitz, float(probe_fn(u1, u2, xi)))
+    spread = max(1.0, float(np.max(np.abs(u0))))
+    for _ in range(DIAGNOSTIC_PROBES):
+        u1 = u0 + spread * rng.standard_normal(n)
+        u2 = u0 + spread * rng.standard_normal(n)
+        xi = rng.standard_normal(n)
+        diff = problem.assemble(u1).matvec(xi) - problem.assemble(u2).matvec(xi)
+        ratio = np.linalg.norm(diff) / (np.linalg.norm(u1 - u2) * np.linalg.norm(xi))
+        lipschitz = max(lipschitz, float(ratio))
 
     g_norm = float(np.linalg.norm(problem.rhs))
     tau = problem.tau
