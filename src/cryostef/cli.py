@@ -432,10 +432,13 @@ def _build_parser():
         description="Freeze/thaw heat flow with equilibrium, kinetic, and hysteretic closures.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
+    solver = SolverOptions()
     for mode in MODES:
         p = sub.add_parser(mode)
         # each mode takes only the flags it reads; main() sees the defaults of the rest
-        p.set_defaults(strict_init=False, solver=solvers.NEWTON_ALAG, tol=1e-8, max_iter=20)
+        p.set_defaults(
+            strict_init=False, solver=solver.strategy, tol=solver.tol, max_iter=solver.max_inner
+        )
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         if mode != "calibrate":

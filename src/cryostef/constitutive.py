@@ -34,17 +34,17 @@ def _exp(z):
 class PointwiseLaws:
     """Every pointwise law at one temperature state ``u``, from one exponential.
 
-    ``e = exp(b*min(u, 0))`` (zero below the exp floor) is computed once,
-    the fraction and the thawed mask ``u > 0`` at most once, on first use;
-    the fraction, its slope, the sensible energy, its slope and the
-    conductivity all follow from them.  The fraction takes its thawed
-    value 1 from ``u >= 0`` on; its slope and the sensible energy switch
-    branch only at ``u > 0``, so at the kink they take the frozen-side
-    limit.  ``m`` supplies the material coefficients; the steepness is
-    always ``b``.
+    ``e = exp(b*min(u, 0))`` (zero below the exp floor), the fraction and
+    the thawed mask ``u > 0`` are computed once, at construction: every
+    Newton iterate of a step reads both.  The fraction's slope, the
+    sensible energy, its slope and the conductivity all follow from them.
+    The fraction takes its thawed value 1 from ``u >= 0`` on; its slope
+    and the sensible energy switch branch only at ``u > 0``, so at the
+    kink they take the frozen-side limit.  ``m`` supplies the material
+    coefficients; the steepness is always ``b``.
     """
 
-    __slots__ = ("u", "b", "e", "_fraction", "_thawed")
+    __slots__ = ("u", "b", "e", "fraction", "thawed")
 
     def __init__(self, u, b):
         if b <= 0.0:
@@ -53,20 +53,8 @@ class PointwiseLaws:
         self.u = u
         self.b = b
         self.e = _exp(np.minimum(b * u, 0.0))
-        self._fraction = None
-        self._thawed = None
-
-    @property
-    def fraction(self):
-        if self._fraction is None:
-            self._fraction = np.where(self.u >= 0.0, 1.0, self.e)
-        return self._fraction
-
-    @property
-    def thawed(self):
-        if self._thawed is None:
-            self._thawed = self.u > 0.0
-        return self._thawed
+        self.fraction = np.where(u >= 0.0, 1.0, self.e)
+        self.thawed = u > 0.0
 
     def fraction_slope(self):
         return np.where(self.thawed, 0.0, self.b * self.e)

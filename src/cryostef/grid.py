@@ -105,8 +105,5 @@ def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None
 
 
 def boundary_transmissibilities(asm):
-    """Recover (t_left, t_right) from an assembled matrix."""
-    if asm.off.size:
-        return asm.diag[0] + asm.off[0], asm.diag[-1] + asm.off[-1]
-    # single-cell matrices split the two boundary faces evenly
-    return 0.5 * asm.diag[0], 0.5 * asm.diag[0]
+    """Recover (t_left, t_right) from a matrix assembled on two or more cells."""
+    return asm.diag[0] + asm.off[0], asm.diag[-1] + asm.off[-1]

@@ -14,6 +14,7 @@ iterates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -35,6 +36,13 @@ DIAGNOSTIC_SEED = 0
 
 @dataclass
 class SolverOptions:
+    """Tolerance, iteration caps and strategy of the per-step solve.
+
+    ``max_inner`` is the Newton budget of a whole matrix-lagging step, which
+    also bounds its outer passes; ``max_outer`` bounds the fixed-point
+    sweeps only.
+    """
+
     tol: float = 1e-8
     max_inner: int = 20
     max_outer: int = 100
@@ -134,16 +142,19 @@ def double_iteration(problem, opts):
     iterate and hands the remaining Newton budget to the inner solve; the
     loop exits once the residual with the freshly assembled matrix is
     below tolerance, so accepted steps always satisfy the true nonlinear
-    system.
+    system.  The passes are bounded by the Newton budget: every pass after
+    the first starts from a true residual above tolerance, so it makes at
+    least one update or raises once the budget is spent, and a step runs
+    at most ``max_inner + 1`` passes.
     """
-    u = np.array(problem.initial_guess, dtype=float, copy=True)
+    u = problem.initial_guess
     asm = problem.assemble(u)
     # each pass starts from the true residual the previous pass ended on
     # (same iterate, same matrix), so the history records it once
     r = problem.residual(u, asm)
     history = [float(np.max(np.abs(r)))]
     inner_total = 0
-    for outer in range(1, opts.max_outer + 1):
+    for outer in itertools.count(1):
         try:
             u, rep = newton_frozen_a(
                 lambda v: problem.residual(v, asm),
@@ -171,11 +182,6 @@ def double_iteration(problem, opts):
         history.append(true_norm)
         if true_norm <= opts.tol:
             return u, StepReport(outer, inner_total, history, True)
-    raise NonConvergence(
-        f"matrix lagging stalled after {opts.max_outer} outer passes",
-        residual=history[-1],
-        report=StepReport(opts.max_outer, inner_total, history, False),
-    )
 
 
 def fixed_point_monolithic(problem, opts):
@@ -187,7 +193,7 @@ def fixed_point_monolithic(problem, opts):
     successive iterates agree to tolerance and the true residual is below
     tolerance; iterates leaving twice the a-priori bound raise Divergence.
     """
-    u = np.array(problem.initial_guess, dtype=float, copy=True)
+    u = problem.initial_guess
     # a-priori bound on the iterates: coercivity dropped (kappa0 = 0), the
     # capacity's lower slope in the denominator, and the fraction term
     # bounded by its saturation value in every cell

@@ -122,10 +122,10 @@ def _closure_slope(closure, f, fp, upsilon_prev, beta, tau):
 class StepProblem:
     """One implicit step with everything but the matrix frozen.
 
-    The previous state, the lagged envelope gap, and the right-hand side
-    are fixed at construction; the diffusion matrix is supplied by
-    ``assembler`` and may be refreshed at any iterate, which is what the
-    matrix-lagging outer loop does.
+    The previous fraction, the lagged envelope gap, and the right-hand
+    side are fixed at construction; the diffusion matrix is supplied by
+    ``assembler``, kept as ``assemble``, and may be refreshed at any
+    iterate, which is what the matrix-lagging outer loop does.
 
     The pointwise laws are evaluated once per iterate: the last evaluation
     is kept with the array it was made at and reused while the same array
@@ -136,8 +136,7 @@ class StepProblem:
         self.closure = closure
         self.tau = tau
         self.material = material
-        self.assembler = assembler
-        self.u_prev = prev.u
+        self.assemble = assembler
         self.upsilon_prev = prev.upsilon
         self.beta = closure.envelope.gap(prev.u) if closure.kind == HYST else None
         self.rhs = (
@@ -156,9 +155,6 @@ class StepProblem:
             self._laws = PointwiseLaws(u, self.material.b)
             self._laws_at = u
         return self._laws
-
-    def assemble(self, u):
-        return self.assembler(u)
 
     def closure_fraction(self, u):
         return _closure_update(
@@ -311,7 +307,11 @@ class ScalarOdeStepper:
 
     Solves u + chi(u) + tau*a*u = tau*f + u_prev + chi_prev per step by
     semismooth Newton on plain floats; ``chi(u)`` follows the configured
-    closure exactly as in the vector stepper.
+    closure exactly as in the vector stepper.  The closure is resolved
+    once per step: eq and neq share the kinetic law
+    ``chi = (1 - w)*f + w*chi_prev`` with relaxation weight ``w = 0`` for
+    eq and ``1/(1 + tau*rate)`` for neq, so eq gives ``1.0*f + 0.0 == f``;
+    hyst clamps ``chi_prev - f`` into the lagged envelope gap.
     """
 
     def __init__(self, closure, b, a_coef, tol=1e-8, max_iter=20):
@@ -323,38 +323,36 @@ class ScalarOdeStepper:
         self.tol = tol
         self.max_iter = max_iter
 
-    def _chi(self, f, chi_prev, beta, tau):
-        if self.closure.kind == EQ:
-            return f
-        if self.closure.kind == NEQ:
-            w = 1.0 / (1.0 + tau * self.closure.rate)
-            return (1.0 - w) * f + w * chi_prev
-        return f + min(max(chi_prev - f, 0.0), beta)
-
-    def _chi_slope(self, f, fp, chi_prev, beta, tau):
-        if self.closure.kind == EQ:
-            return fp
-        if self.closure.kind == NEQ:
-            w = 1.0 / (1.0 + tau * self.closure.rate)
-            return (1.0 - w) * fp
-        s = chi_prev - f
-        return 0.0 if 0.0 < s < beta else fp
-
     def step(self, u_prev, chi_prev, tau, f_value):
         """One implicit step; returns (u, chi, iterations, residual)."""
         g = tau * f_value + u_prev + chi_prev
-        beta = _envelope_gap(u_prev, self.closure.envelope) if self.closure.kind == HYST else 0.0
+        ta = tau * self.a_coef
+        hyst = self.closure.kind == HYST
+        if hyst:
+            beta = _envelope_gap(u_prev, self.closure.envelope)
+        else:
+            w = 0.0 if self.closure.kind == EQ else 1.0 / (1.0 + tau * self.closure.rate)
+            c1 = 1.0 - w
+            c0 = w * chi_prev
         u = u_prev
         for it in range(self.max_iter + 1):
             # one exponential per iterate; the fraction slope is b*f below the kink
             f = _fraction(u, self.b)
-            chi = self._chi(f, chi_prev, beta, tau)
-            phi = u + chi + tau * self.a_coef * u - g
+            if hyst:
+                s = chi_prev - f
+                chi = f + min(max(s, 0.0), beta)
+            else:
+                chi = c1 * f + c0
+            phi = u + chi + ta * u - g
             if abs(phi) <= self.tol:
                 return u, chi, it, abs(phi)
             fp = 0.0 if u > 0.0 else self.b * f
-            slope = 1.0 + self._chi_slope(f, fp, chi_prev, beta, tau) + tau * self.a_coef
-            u -= phi / slope
+            # the clamp adds nothing to the slope strictly inside its interval
+            if hyst:
+                dchi = 0.0 if 0.0 < s < beta else fp
+            else:
+                dchi = c1 * fp
+            u -= phi / (1.0 + dchi + ta)
         raise NonConvergence(
             f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)
         )

@@ -1,13 +1,15 @@
 """Independent reference solvers used to cross-check the production path.
 
 Everything here is deliberately naive: dense matrices, finite-difference
-Jacobians, bisection.  Nothing imports the production solve module.
+Jacobians, bisection, a closure dispatched at every iterate.  Nothing imports the production solve module.
 """
+
+import math
 
 import numpy as np
 
-from cryostef.constitutive import capacity_energy, conductivity, equilibrium_fraction
-from cryostef.errors import SingularJacobian
+from cryostef.constitutive import EXP_FLOOR, capacity_energy, conductivity, equilibrium_fraction
+from cryostef.errors import NonConvergence, SingularJacobian
 
 
 def dense_step_residual(u, u_prev, ups_prev, closure, material, h, ud, f_n, tau):
@@ -137,3 +139,70 @@ def drive_play_per_step(u_schedule, env, tau, T, v_init):
         rows[n - 1] = (t, u, chi)
         u_prev = u
     return rows
+
+
+def _scalar_fraction(u, b):
+    if u >= 0.0:
+        return 1.0
+    z = b * u
+    return math.exp(z) if z >= EXP_FLOOR else 0.0
+
+
+def _scalar_envelope_gap(theta, env):
+    if theta < env.theta0 or theta > 0.0:
+        return 0.0
+    g = env.a * math.exp(env.b_bar * theta) + env.D * theta + env.C
+    return max(min(g, 1.0) - _scalar_fraction(theta, env.b), 0.0)
+
+
+class ScalarStepPerIterate:
+    """The scalar coupled step with the closure dispatched at every iterate.
+
+    Two helpers pick the closure's fraction and slope by kind inside the
+    Newton loop.  The production ``ScalarOdeStepper`` resolves the closure
+    once per step and must give the same (u, chi, iterations) bit for bit.
+    """
+
+    def __init__(self, closure, b, a_coef, tol=1e-8, max_iter=20):
+        self.closure = closure
+        self.b = b
+        self.a_coef = a_coef
+        self.tol = tol
+        self.max_iter = max_iter
+
+    def _chi(self, f, chi_prev, beta, tau):
+        if self.closure.kind == "eq":
+            return f
+        if self.closure.kind == "neq":
+            w = 1.0 / (1.0 + tau * self.closure.rate)
+            return (1.0 - w) * f + w * chi_prev
+        return f + min(max(chi_prev - f, 0.0), beta)
+
+    def _chi_slope(self, f, fp, chi_prev, beta, tau):
+        if self.closure.kind == "eq":
+            return fp
+        if self.closure.kind == "neq":
+            w = 1.0 / (1.0 + tau * self.closure.rate)
+            return (1.0 - w) * fp
+        s = chi_prev - f
+        return 0.0 if 0.0 < s < beta else fp
+
+    def step(self, u_prev, chi_prev, tau, f_value):
+        g = tau * f_value + u_prev + chi_prev
+        if self.closure.kind == "hyst":
+            beta = _scalar_envelope_gap(u_prev, self.closure.envelope)
+        else:
+            beta = 0.0
+        u = u_prev
+        for it in range(self.max_iter + 1):
+            f = _scalar_fraction(u, self.b)
+            chi = self._chi(f, chi_prev, beta, tau)
+            phi = u + chi + tau * self.a_coef * u - g
+            if abs(phi) <= self.tol:
+                return u, chi, it, abs(phi)
+            fp = 0.0 if u > 0.0 else self.b * f
+            slope = 1.0 + self._chi_slope(f, fp, chi_prev, beta, tau) + tau * self.a_coef
+            u -= phi / slope
+        raise NonConvergence(
+            f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)
+        )

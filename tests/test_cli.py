@@ -581,6 +581,22 @@ class TestModeFlags:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "mode, runner",
+        [
+            ("pde", "run_pde"),
+            ("ode-coupled", "run_ode_coupled"),
+            ("ode-driven", "run_ode_driven"),
+            ("convergence", "convergence_study"),
+        ],
+    )
+    def test_no_solver_flags_give_default_options(self, monkeypatch, tmp_path, mode, runner):
+        seen = []
+        monkeypatch.setattr(cli, runner, lambda cfg, opts, out_dir, **kw: seen.append(opts))
+        assert main([mode, "--out", str(tmp_path)]) == 0
+        assert seen == [SolverOptions()]
+
+
 class TestInitialFractionMessages:
     # the one initial-fraction rule names the value, its interval and its
     # temperature in every mode, and for a grid the cell furthest outside

@@ -1,0 +1,126 @@
+"""Every CLI mode's outputs on small runs, byte for byte.
+
+Each case runs ``main()`` on a small config and compares its exit code and
+the sha256 of its stdout and of every file it writes with the digests
+recorded below.  A change that moves any output bit fails here; a change
+meant to move outputs re-records them (run this file as a script to print
+the digests of the current tree) and says why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from cryostef.cli import main
+
+CASES = {
+    "pde-eq": ("pde", "closure = eq\nM = 100\nT = 0.3\nout_times = 0.1,0.2,0.3\n"),
+    "pde-neq": ("pde", "closure = neq\nM = 100\nT = 0.3\nout_times = 0.1,0.2,0.3\n"),
+    # from the reference start hyst follows eq until it cools; this start lies
+    # inside the envelope, and the cells reach both of its curves
+    "pde-hyst": (
+        "pde",
+        "closure = hyst\nM = 100\nT = 0.3\nout_times = 0.1,0.2,0.3\n"
+        "u_init = -2\nchi_init = F(u0) + 0.1\nbc_left = (0,-2),(0.3,2)\n",
+    ),
+    "ode-coupled-eq": ("ode-coupled", "closure = eq\nT = 1\n"),
+    "ode-coupled-neq": ("ode-coupled", "closure = neq\nT = 1\n"),
+    "ode-coupled-hyst": ("ode-coupled", "closure = hyst\nT = 1\nchi_init = 0.85\n"),
+    "ode-driven": ("ode-driven", "T = 3\n"),
+    "convergence": (
+        "convergence", "taus = 0.1,0.01\ntau_fine = 0.001\nT = 2\nchi_init = 0.85\n"
+    ),
+    "calibrate": ("calibrate", ""),
+}
+
+DIGESTS = {
+    "calibrate": {
+        "exit": 0,
+        "stdout": "f7a268440bb65eff0e0ab4fb314604f6b8de9b30693a8878355b81786a804ed9",
+        "envelope.csv": "7817a6ea1136e377f7f702838d52a183476ddc433be799847c7eea92320df280",
+    },
+    "convergence": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "orders.csv": "e762d1a661d92694ba0a0f91cbb3acae25a29da5a5efa4d3c4513f3e9de7aa9b",
+    },
+    "ode-coupled-eq": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trajectory.csv": "561406980d28fd15e5d29ece840a6e4b8a286c80cdb43e4e2524978b1881c0ec",
+    },
+    "ode-coupled-hyst": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trajectory.csv": "1ce43ff901af0197017f52fabd33425742766c6425e8d21ba80b2beb6df44301",
+    },
+    "ode-coupled-neq": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trajectory.csv": "b58dbeafe329600b6544b43ccac9c77ad0313baab9ea244cd3132e2574c85b56",
+    },
+    "ode-driven": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "trajectory.csv": "105daacf02b1c53dce37698b777fcaff5efade2b68f0e157739d629fdf4e1d86",
+    },
+    "pde-eq": {
+        "exit": 0,
+        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "iterations.csv": "a14eafeded39c114e1dfbaa303a8d647f179573a18f0094214105606bf9a7a37",
+        "phase.csv": "78e1ece67cf7cce5054b4089f137607b6b3b95b042c344de3b058dc7b4f527f2",
+        "snapshots.csv": "1bad7735291755444cf8553f8a1cb4b1a67058604c5b919702e7a1258a1d9b33",
+        "summary.csv": "632ebca69bd31cff710627b7f3b2a3cc0665461175b90fdf839ec84d93cd95bf",
+    },
+    "pde-hyst": {
+        "exit": 0,
+        "stdout": "faf395614738ba0029825d790e6d695c511b4c693e410398503b9ce2af58208b",
+        "iterations.csv": "2d4430e3e662d4e282d8f5107ef8eba978f4fba6100c99e1f2a27f982af3c02d",
+        "phase.csv": "7f86ca5c21c3db595256ba3aac4310aab99259f8f11a933690feae3a37bbb37f",
+        "snapshots.csv": "8db6ecb00239ed451a728c013c1c8ad52e6fc2c1b60b1eb2db3b816cd3e6afba",
+        "summary.csv": "aba63a0722d3b98cc5f47eb196ee55d5da5b0d8753fa314898d083347af40648",
+    },
+    "pde-neq": {
+        "exit": 0,
+        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "iterations.csv": "523e4b5ee0ed1c6963d611727cf00541aa6773a59973a745b4697e239b5d4cce",
+        "phase.csv": "0dd3d2eac08878ac0f86066d2007628d22b1cff4cf714888976e5a6bd3dd1344",
+        "snapshots.csv": "541ac5ed067d23b16776a2976aa1a4bad6cb219c725698d555b98ca553137af5",
+        "summary.csv": "9b3df6a59dfab7bbc5fad01952c6e2f40d7a559d4d4608d78194057fc9e28503",
+    },
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def outputs(mode, text, work_dir):
+    """Exit code and sha256 of stdout and of each output file of one run."""
+    work_dir = Path(work_dir)
+    cfg = work_dir / "run.cfg"
+    cfg.write_text(text)
+    out = work_dir / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([mode, "--config", str(cfg), "--out", str(out)])
+    digests = {"exit": code, "stdout": _sha(stdout.getvalue().encode())}
+    for path in sorted(out.iterdir()):
+        digests[path.name] = _sha(path.read_bytes())
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_keep_their_bytes(case, tmp_path):
+    assert outputs(*CASES[case], tmp_path) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as work_dir:
+            sys.stdout.write(f"    {case!r}: {outputs(*CASES[case], work_dir)!r},\n")

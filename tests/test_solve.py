@@ -272,6 +272,24 @@ class TestDoubleIteration:
         assert err.report.residual_history[-1] == err.residual
         assert "(inner iterations 20, outer passes 7)" in str(err)
 
+    @pytest.mark.parametrize("closure", ["eq", "neq", "hyst"])
+    def test_passes_bounded_by_newton_budget_on_reference(self, closure):
+        # every pass after the first starts above tol, so it makes an update
+        cfg = load_config(None, "pde", overrides={"closure": closure})
+        run = cli.simulate_pde(cfg, SolverOptions())
+        assert len(run.reports) == 300
+        assert all(r.outer_iters <= r.inner_iters_total + 1 for r in run.reports)
+
+    def test_many_passes_bounded_by_newton_budget(self):
+        # the step that stalls above on a budget of 20 converges on 150, and
+        # its passes stay within the budget it spent
+        cfg = load_config(None, "pde", overrides={"M": 30, "T": 0.01})
+        run = cli.simulate_pde(cfg, SolverOptions(max_inner=150))
+        report = run.reports[0]
+        assert report.converged
+        assert (report.outer_iters, report.inner_iters_total) == (16, 30)
+        assert report.outer_iters <= report.inner_iters_total + 1
+
 
 class TestFixedPoint:
     def test_trivial_linear_case_single_sweep(self, unit_material):

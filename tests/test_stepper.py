@@ -4,15 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import bisect, dense_step_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import ScalarStepPerIterate, bisect, dense_step_residual
 
 from cryostef.constitutive import (
+    EXP_FLOOR,
     ScaledMaterial,
     calibrate_envelope,
     capacity_energy,
     equilibrium_fraction,
 )
-from cryostef.errors import InfeasibleState, InvalidBounds
+from cryostef.errors import InfeasibleState, InvalidBounds, NonConvergence
 from cryostef.grid import Grid1D, StiffnessAssembly, assemble
 from cryostef.solve import SolverOptions, solve_step
 from cryostef.stepper import (
@@ -384,6 +387,52 @@ class TestScalarOdeStepper:
                 u_s, chi_s, _, _ = scalar.step(u_s, chi_s, tau, forcing(n * tau))
                 worst = max(worst, abs(state.u[0] - u_s), abs(state.upsilon[0] - chi_s))
             assert worst <= 1e-10, closure.kind
+
+    @staticmethod
+    def trajectory(stepper, u, chi, tau, forcing):
+        # (u, chi, iterations) after each step, and the residual a stall ended on
+        rows = []
+        for f_value in forcing:
+            try:
+                u, chi, iters, _ = stepper.step(u, chi, tau, f_value)
+            except NonConvergence as err:
+                return np.array(rows), err.residual
+            rows.append((u, chi, iters))
+        return np.array(rows), None
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["eq", "neq", "hyst"]),
+        tau=st.sampled_from([0.1, 0.01, 0.001]),
+        b=st.sampled_from([1.0, 2.0]),
+        # starts on and next to the kink (both zeros) and the exp floor, or anywhere
+        start=st.sampled_from(["zero", "negative zero", "floor", "free"]),
+        offset=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+        # the previous fraction on either envelope curve, inside it, or anywhere
+        edge=st.sampled_from(["lower", "upper", "inside", "free"]),
+        share=st.floats(0.0, 1.0),
+        forcing=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=20),
+    )
+    def test_bit_equal_to_per_iterate_closure_oracle(
+        self, kind, tau, b, start, offset, edge, share, forcing
+    ):
+        env = calibrate_envelope(b, 0.1, -5.0)
+        closure = {
+            "eq": Closure.equilibrium(),
+            "neq": Closure.kinetic(5.0),
+            "hyst": Closure.hysteresis(env),
+        }[kind]
+        u0 = {"zero": 0.0, "negative zero": -0.0, "floor": EXP_FLOOR / b, "free": -3.0}[start]
+        u0 = u0 + offset if offset else u0  # -0.0 + 0.0 would lose the sign
+        lo = float(env.lower(u0))
+        hi = max(float(env.upper(u0)), lo)
+        chi0 = {"lower": lo, "upper": hi, "inside": lo + share * (hi - lo), "free": share}[edge]
+
+        shipped = self.trajectory(ScalarOdeStepper(closure, b, 0.02), u0, chi0, tau, forcing)
+        oracle = self.trajectory(ScalarStepPerIterate(closure, b, 0.02), u0, chi0, tau, forcing)
+        # compared as bit patterns, so -0.0 and 0.0 differ
+        assert np.array_equal(shipped[0].view(np.int64), oracle[0].view(np.int64))
+        assert shipped[1] == oracle[1]
 
     def test_stationary(self):
         env = calibrate_envelope(1.0, 0.1, -5.0)
