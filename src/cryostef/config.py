@@ -214,6 +214,7 @@ def _parse_value(key, text):
 
 
 def _validate(cfg):
+    _validate_finite(cfg)
     if cfg.tau <= 0.0:
         raise ConfigError(f"tau must be positive, got {cfg.tau}")
     if cfg.T < cfg.tau:
@@ -236,6 +237,24 @@ def _validate(cfg):
                 raise ConfigError(
                     f"fine step {cfg.tau_fine} does not divide sweep step {tau}"
                 )
+
+
+def _validate_finite(cfg):
+    # every number a key holds, whether or not the mode reads it: a float,
+    # each entry of a number list, each breakpoint of a schedule
+    for key, kind in _KINDS.items():
+        value = getattr(cfg, key)
+        if kind is PiecewiseLinearSchedule:
+            numbers = [number for point in value.breakpoints for number in point]
+        elif kind is tuple:
+            numbers = value
+        elif kind is float:
+            numbers = (value,)
+        else:
+            continue
+        for number in numbers:
+            if not math.isfinite(number):
+                raise ConfigError(f"key {key!r} must be finite, got {number!r}")
 
 
 def _validate_laws(cfg):

@@ -3,8 +3,8 @@
 Two strategies are available.  The default ("newton-alag") freezes the
 diffusion matrix at the latest outer iterate and runs a semismooth Newton
 inner loop on the remaining monotone nonlinearity; the outer loop is
-declared converged only when the residual with the matrix re-evaluated at
-the current iterate meets the tolerance.  "fixed-point" lags both the
+declared converged only when a pass on the matrix re-evaluated at the
+current iterate needs no Newton update.  "fixed-point" lags both the
 fraction term and the matrix and sweeps a linearized capacity solve; it
 contracts only for mild data and is kept as a baseline.
 
@@ -105,18 +105,18 @@ def thomas_solve(diag, off, rhs):
     return np.array(g)
 
 
-def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None, r0=None):
+def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None):
     """Plain (semismooth) Newton with a direct tridiagonal linear solve.
 
     ``budget`` bounds the number of updates (defaults to opts.max_inner);
-    the natural initial guess is the previous time-step solution.  ``r0``
-    is ``residual_fn(u0)`` when the caller already holds it.  ``u0`` is
+    the natural initial guess is the previous time-step solution.  The
+    history holds the residual at ``u0``, then one per update.  ``u0`` is
     not copied: iterates are fresh arrays and none is modified in place.
     """
     if budget is None:
         budget = opts.max_inner
     u = np.asarray(u0, dtype=float)
-    r = residual_fn(u) if r0 is None else r0
+    r = residual_fn(u)
     history = [float(np.max(np.abs(r)))]
     iters = 0
     # written so that a NaN residual is not taken as converged
@@ -138,23 +138,20 @@ def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None, r0=None):
 def double_iteration(problem, opts):
     """Outer matrix-lagging loop around the frozen-matrix Newton solve.
 
-    Each outer pass reassembles the diffusion matrix at the current
-    iterate and hands the remaining Newton budget to the inner solve; the
-    loop exits once the residual with the freshly assembled matrix is
-    below tolerance, so accepted steps always satisfy the true nonlinear
-    system.  The passes are bounded by the Newton budget: every pass after
-    the first starts from a true residual above tolerance, so it makes at
-    least one update or raises once the budget is spent, and a step runs
-    at most ``max_inner + 1`` passes.
+    Each pass assembles the diffusion matrix at the current iterate and
+    runs Newton on it with the step's remaining budget.  A pass's starting
+    residual is therefore the true nonlinear residual, and a pass that
+    needs no update accepts the step: accepted steps always satisfy the
+    true system.  ``outer_iters`` counts the passes before the accepting
+    one, and at least 1; the history joins every pass's history whole.
+    Every pass but the last makes at least one update, so the Newton
+    budget bounds the passes too: a step runs at most ``max_inner + 1``.
     """
     u = problem.initial_guess
-    asm = problem.assemble(u)
-    # each pass starts from the true residual the previous pass ended on
-    # (same iterate, same matrix), so the history records it once
-    r = problem.residual(u, asm)
-    history = [float(np.max(np.abs(r)))]
+    history = []
     inner_total = 0
-    for outer in itertools.count(1):
+    for passes in itertools.count(1):
+        asm = problem.assemble(u)
         try:
             u, rep = newton_frozen_a(
                 lambda v: problem.residual(v, asm),
@@ -162,26 +159,21 @@ def double_iteration(problem, opts):
                 u,
                 opts,
                 budget=opts.max_inner - inner_total,
-                r0=r,
             )
         except NonConvergence as err:
             # report the whole step, not only the pass that ran out of budget
             inner_total += err.report.inner_iters_total
-            history.extend(err.report.residual_history[1:])
+            history.extend(err.report.residual_history)
             raise NonConvergence(
                 f"Newton stalled at residual {err.residual:.3e} "
-                f"(inner iterations {inner_total}, outer passes {outer})",
+                f"(inner iterations {inner_total}, outer passes {passes})",
                 residual=err.residual,
-                report=StepReport(outer, inner_total, history, False),
+                report=StepReport(passes, inner_total, history, False),
             ) from err
         inner_total += rep.inner_iters_total
-        history.extend(rep.residual_history[1:])
-        asm = problem.assemble(u)
-        r = problem.residual(u, asm)
-        true_norm = float(np.max(np.abs(r)))
-        history.append(true_norm)
-        if true_norm <= opts.tol:
-            return u, StepReport(outer, inner_total, history, True)
+        history.extend(rep.residual_history)
+        if rep.inner_iters_total == 0:
+            return u, StepReport(max(passes - 1, 1), inner_total, history, True)
 
 
 def fixed_point_monolithic(problem, opts):

@@ -139,15 +139,16 @@ class StepProblem:
         self.assemble = assembler
         self.upsilon_prev = prev.upsilon
         self.beta = closure.envelope.gap(prev.u) if closure.kind == HYST else None
-        self.rhs = (
-            tau * np.asarray(f_n, dtype=float)
-            + capacity_energy(prev.u, material)
-            + prev.upsilon
-        )
         self.initial_guess = np.array(prev.u, dtype=float, copy=True)
         # holding the array keeps its id from being reused by another one
         self._laws_at = None
         self._laws = None
+        # the laws at the previous state also serve the first assembly and residual
+        self.rhs = (
+            tau * np.asarray(f_n, dtype=float)
+            + self.laws(self.initial_guess).capacity_energy(material)
+            + prev.upsilon
+        )
 
     def laws(self, u):
         """The pointwise laws at ``u``, evaluated once per iterate object."""

@@ -493,6 +493,29 @@ class TestPdeMode:
         assert "must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("tau = nan", "tau"),
+            ("T = inf", "T"),
+            ("out_times = 0.01,nan", "out_times"),
+            ("b = inf", "b"),
+            ("c_u = inf", "c_u"),
+            ("k_u = inf", "k_u"),
+            ("closure = hyst\nb_bar = inf", "b_bar"),
+            ("closure = hyst\ntheta0 = -inf", "theta0"),
+            ("bc_left = nan", "bc_left"),
+            ("bc_right = (0,-5),(nan,1)", "bc_right"),
+            ("closure = neq\nrate = inf", "rate"),
+        ],
+    )
+    def test_non_finite_number_exits_2_before_any_step(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "pde.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["pde", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"key '{key}' must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_source_exits_2_before_any_step(self, tmp_path):
         cfg = tmp_path / "pde.cfg"
         self.write_small_config(cfg, extra="source = 1 +\n")

@@ -1,8 +1,10 @@
 """Every CLI mode's outputs on small runs, byte for byte.
 
-Each case runs ``main()`` on a small config and compares its exit code and
-the sha256 of its stdout and of every file it writes with the digests
-recorded below.  A change that moves any output bit fails here; a change
+Each case runs ``main()`` on a small config, with the case's CLI flags if
+it has any, and compares its exit code and the sha256 of its stdout, of
+its stderr when it wrote any, and of every file it writes with the digests
+recorded below.  The runs that fail pin their failure message, counts
+included.  A change that moves any output bit fails here; a change
 meant to move outputs re-records them (run this file as a script to print
 the digests of the current tree) and says why in CHANGES.md.
 """
@@ -36,6 +38,9 @@ CASES = {
         "convergence", "taus = 0.1,0.01\ntau_fine = 0.001\nT = 2\nchi_init = 0.85\n"
     ),
     "calibrate": ("calibrate", ""),
+    # the reference grid coarsened to M = 30 spends step 1's Newton budget
+    "pde-m30-stall": ("pde", "M = 30\n"),
+    "pde-fixed-point-stall": ("pde", "", "--solver", "fixed-point"),
 }
 
 DIGESTS = {
@@ -77,6 +82,11 @@ DIGESTS = {
         "snapshots.csv": "1bad7735291755444cf8553f8a1cb4b1a67058604c5b919702e7a1258a1d9b33",
         "summary.csv": "632ebca69bd31cff710627b7f3b2a3cc0665461175b90fdf839ec84d93cd95bf",
     },
+    "pde-fixed-point-stall": {
+        "exit": 3,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "abc5fd933d9c48f2e9011843f66581bd01a4dc4419545a0f252a2a3de17da81b",
+    },
     "pde-hyst": {
         "exit": 0,
         "stdout": "faf395614738ba0029825d790e6d695c511b4c693e410398503b9ce2af58208b",
@@ -84,6 +94,11 @@ DIGESTS = {
         "phase.csv": "7f86ca5c21c3db595256ba3aac4310aab99259f8f11a933690feae3a37bbb37f",
         "snapshots.csv": "8db6ecb00239ed451a728c013c1c8ad52e6fc2c1b60b1eb2db3b816cd3e6afba",
         "summary.csv": "aba63a0722d3b98cc5f47eb196ee55d5da5b0d8753fa314898d083347af40648",
+    },
+    "pde-m30-stall": {
+        "exit": 3,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "8caaf8c5ef010a0d84c9986c490de9f4a23854613c0d3add13e73e8bdf9f2a02",
     },
     "pde-neq": {
         "exit": 0,
@@ -100,27 +115,31 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def outputs(mode, text, work_dir):
-    """Exit code and sha256 of stdout and of each output file of one run."""
+def outputs(work_dir, mode, text, *flags):
+    """Exit code and sha256 of stdout, stderr and each output file of one run."""
     work_dir = Path(work_dir)
     cfg = work_dir / "run.cfg"
     cfg.write_text(text)
     out = work_dir / "out"
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main([mode, "--config", str(cfg), "--out", str(out)])
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([mode, "--config", str(cfg), "--out", str(out), *flags])
     digests = {"exit": code, "stdout": _sha(stdout.getvalue().encode())}
-    for path in sorted(out.iterdir()):
+    if stderr.getvalue():
+        digests["stderr"] = _sha(stderr.getvalue().encode())
+    # a failed run writes no output directory
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
         digests[path.name] = _sha(path.read_bytes())
     return digests
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_keep_their_bytes(case, tmp_path):
-    assert outputs(*CASES[case], tmp_path) == DIGESTS[case]
+    assert outputs(tmp_path, *CASES[case]) == DIGESTS[case]
 
 
 if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as work_dir:
-            sys.stdout.write(f"    {case!r}: {outputs(*CASES[case], work_dir)!r},\n")
+            sys.stdout.write(f"    {case!r}: {outputs(work_dir, *CASES[case])!r},\n")

@@ -257,6 +257,38 @@ class TestDoubleIteration:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
+    def test_solved_initial_guess_takes_one_pass(self, material):
+        # a uniform frozen state with matching boundary data solves its own
+        # step: the first pass's starting residual is the true residual and
+        # meets tol, so the step is accepted on one assembly and no update
+        u_prev = np.full(10, -5.0)
+        problem = make_problem(
+            u_prev, equilibrium_fraction(u_prev, material.b), Closure.equilibrium(),
+            material, Grid1D(10), (-5.0, -5.0), np.zeros(10), 0.01,
+        )
+        assembled = []
+        assembler = problem.assemble
+        problem.assemble = lambda u: assembled.append(u) or assembler(u)
+        u, rep = double_iteration(problem, SolverOptions())
+        assert len(assembled) == 1
+        assert (rep.outer_iters, rep.inner_iters_total, rep.converged) == (1, 0, True)
+        assert len(rep.residual_history) == 1
+        assert rep.residual_history[0] <= SolverOptions().tol
+        assert np.array_equal(u, u_prev)
+
+    @pytest.mark.xfail(
+        strict=True, raises=NonConvergence,
+        reason="the matrix-lagging passes contract too slowly; a failed step has no rescue yet",
+    )
+    def test_hysteretic_start_inside_envelope_converges(self):
+        # the reference grid and step with hyst started inside the envelope
+        # stalls at step 1: residual 2.216e-08, 20 inner iterations, 7 passes
+        cfg = load_config(None, "pde", overrides={
+            "closure": "hyst", "u_init": "-2", "chi_init": "F(u0) + 0.1", "T": 0.01,
+        })
+        run = cli.simulate_pde(cfg, SolverOptions())
+        assert run.reports[0].converged
+
     def test_stalled_step_reports_every_pass(self):
         # the reference pde at M = 30 spends step 1's whole budget over seven
         # outer passes (budgets 20, 14, 10, 7, 5, 3, 1) and stalls above tol
@@ -267,14 +299,14 @@ class TestDoubleIteration:
         assert err.step == 1
         assert (err.report.outer_iters, err.report.inner_iters_total) == (7, 20)
         assert not err.report.converged
-        # the start, each update, and the true residual after every pass but the last
-        assert len(err.report.residual_history) == 1 + 20 + 6
+        # each of the seven passes' starting residual, the true one, and each update
+        assert len(err.report.residual_history) == 7 + 20
         assert err.report.residual_history[-1] == err.residual
         assert "(inner iterations 20, outer passes 7)" in str(err)
 
     @pytest.mark.parametrize("closure", ["eq", "neq", "hyst"])
     def test_passes_bounded_by_newton_budget_on_reference(self, closure):
-        # every pass after the first starts above tol, so it makes an update
+        # every pass before the accepting one makes an update
         cfg = load_config(None, "pde", overrides={"closure": closure})
         run = cli.simulate_pde(cfg, SolverOptions())
         assert len(run.reports) == 300
@@ -473,8 +505,8 @@ class TestFastKernelGuard:
                 b.inner_iters_total,
                 b.residual_history,
             )
-        # one residual to start, one per Newton update, one true residual per
-        # outer pass, and the history records each of them once
+        # one residual to start each of the outer + 1 passes and one per Newton
+        # update, and the history records each of them once
         assert counts == [1 + r.inner_iters_total + r.outer_iters for r in shipped.reports]
         assert counts == [len(r.residual_history) for r in shipped.reports]
         assert any(r.outer_iters > 1 for r in shipped.reports)
@@ -525,9 +557,8 @@ class TestLawsOncePerIterate:
                 b.residual_history,
             )
         # one exponential per distinct iterate (the initial guess and each
-        # Newton update) plus the sensible energy of the previous state in
-        # the right-hand side and, for hyst, the one lower-curve evaluation
-        # of the envelope gap
-        fixed = 1 + (1 if closure == "hyst" else 0)
+        # Newton update); the right-hand side reads the initial guess's, and
+        # hyst adds the one lower-curve evaluation of the envelope gap
+        fixed = 1 if closure == "hyst" else 0
         assert counts == [1 + r.inner_iters_total + fixed for r in shipped.reports]
         assert any(r.outer_iters > 1 for r in shipped.reports)
