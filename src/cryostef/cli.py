@@ -217,7 +217,7 @@ def write_pde_outputs(run, out_dir):
 def _default_coupled_forcing(t):
     h = 16.0 if t < 1.0 else 4.0
     g = -15.0 if t < 1.0 else 4.0 * t - 30.0
-    return h * np.cos(np.pi * t) + g
+    return h * float(np.cos(np.pi * t)) + g
 
 
 def _default_drive(t):
@@ -233,7 +233,12 @@ def _time_expr_fn(expr, default):
 
 
 def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
-    """Integrate the scalar coupled system; arrays indexed by step number."""
+    """Integrate the scalar coupled system; arrays indexed by step number.
+
+    The loop carries the state and the forcing from step to step as plain
+    floats, so no Newton iterate pays for numpy scalar arithmetic; each
+    step's state is written into the preallocated arrays.
+    """
     tau = cfg.tau if tau is None else tau
     closure = build_closure(cfg)
     forcing = _time_expr_fn(cfg.forcing, _default_coupled_forcing)
@@ -246,14 +251,17 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
     times = np.arange(n_steps + 1) * tau
     u = np.empty(n_steps + 1)
     chi = np.empty(n_steps + 1)
-    u[0], chi[0] = u0, chi0
+    u_n, chi_n = float(u0), float(chi0)
+    u[0], chi[0] = u_n, chi_n
     for n in range(1, n_steps + 1):
+        # n * tau has the bits of times[n]; both forcings return floats
         try:
-            u[n], chi[n], _, _ = stepper.step(u[n - 1], chi[n - 1], tau, forcing(times[n]))
+            u_n, chi_n, _, _ = stepper.step(u_n, chi_n, tau, forcing(n * tau))
         except NonConvergence as err:
             err.step = n
             err.t = times[n]
             raise
+        u[n], chi[n] = u_n, chi_n
     return times, u, chi
 
 

@@ -274,6 +274,9 @@ def _validate_laws(cfg):
             raise ConfigError(f"key {key!r} must be positive, got {value!r}")
     if closure == "hyst" and not cfg.theta0 < 0.0:
         raise ConfigError(f"key 'theta0' must be negative, got {cfg.theta0!r}")
+    # the coupled scalar system's stiffness; with a >= 0 its Newton slope is at least 1
+    if cfg.mode in ("ode-coupled", "convergence") and not cfg.a_coef >= 0.0:
+        raise ConfigError(f"key 'a_coef' must be non-negative, got {cfg.a_coef!r}")
 
 
 # the syntax an expression may use; attributes, subscripts, lambdas, comprehensions,
@@ -302,12 +305,17 @@ def _compile_expression(expr):
 def eval_expression(expr, **names):
     """Evaluate a config expression over the math namespace plus ``names``.
 
-    Each distinct expression is parsed once and its code object reused.
+    Each distinct expression is parsed once and its code object reused.  A
+    complex value, such as a negative number to a fractional power, is a
+    config error like any other expression that cannot be evaluated.
     """
     code = _compile_expression(expr)
     namespace = dict(_EXPR_NAMES)
     namespace.update(names)
     try:
-        return eval(code, {"__builtins__": {}}, namespace)  # noqa: S307 - local config files
+        value = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307 - local config files
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+    if isinstance(value, complex):
+        raise ConfigError(f"expression {expr!r} is not real: {value!r}")
+    return value

@@ -189,4 +189,7 @@ def calibrate_envelope(b, b_bar, theta0, variant=THREE_CONDITION):
         D = 0.0
     else:
         raise ValueError(f"unknown envelope variant {variant!r}")
-    return HysteresisEnvelope(b=b, b_bar=b_bar, theta0=theta0, a=a, C=C, D=D, variant=variant)
+    # plain floats, so the scalar steppers' arithmetic on them stays off numpy scalars
+    return HysteresisEnvelope(
+        b=b, b_bar=b_bar, theta0=theta0, a=float(a), C=float(C), D=float(D), variant=variant
+    )

@@ -312,12 +312,16 @@ class ScalarOdeStepper:
     once per step: eq and neq share the kinetic law
     ``chi = (1 - w)*f + w*chi_prev`` with relaxation weight ``w = 0`` for
     eq and ``1/(1 + tau*rate)`` for neq, so eq gives ``1.0*f + 0.0 == f``;
-    hyst clamps ``chi_prev - f`` into the lagged envelope gap.
+    hyst clamps ``chi_prev - f`` into the lagged envelope gap.  The
+    stiffness ``a_coef`` must be non-negative, so the Newton slope
+    ``1 + dchi + tau*a`` is at least 1 and the division never fails.
     """
 
     def __init__(self, closure, b, a_coef, tol=1e-8, max_iter=20):
         if closure.kind == HYST and not math.isclose(closure.envelope.b, b):
             raise ValueError("envelope steepness must match the fraction steepness")
+        if not a_coef >= 0.0:
+            raise ValueError(f"stiffness a_coef must be non-negative, got {a_coef}")
         self.closure = closure
         self.b = b
         self.a_coef = a_coef
@@ -325,7 +329,12 @@ class ScalarOdeStepper:
         self.max_iter = max_iter
 
     def step(self, u_prev, chi_prev, tau, f_value):
-        """One implicit step; returns (u, chi, iterations, residual)."""
+        """One implicit step; returns (u, chi, iterations, residual).
+
+        Expects plain floats, which the state and residual returned stay:
+        a numpy scalar argument would make every Newton iterate pay for
+        numpy scalar arithmetic.
+        """
         g = tau * f_value + u_prev + chi_prev
         ta = tau * self.a_coef
         hyst = self.closure.kind == HYST

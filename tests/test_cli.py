@@ -205,6 +205,8 @@ class TestConfigParsing:
             ("convergence", "b_bar = 0", "b_bar"),
             ("ode-driven", "theta0 = 0", "theta0"),
             ("calibrate", "b = -1", "b"),
+            ("ode-coupled", "a_coef = -100", "a_coef"),
+            ("convergence", "a_coef = -1e-3", "a_coef"),
         ],
     )
     def test_law_keys_checked_at_load(self, tmp_path, mode, text, key):
@@ -220,6 +222,8 @@ class TestConfigParsing:
             ("ode-coupled", "closure = eq\nrate = 0\nb_bar = 0\ntheta0 = 1"),
             ("pde", "closure = eq\nrate = 0"),
             ("calibrate", "closure = neq\nrate = 0"),  # calibrate reads no closure
+            ("pde", "a_coef = -1"),  # the scalar system's stiffness
+            ("ode-coupled", "a_coef = 0"),
         ],
     )
     def test_keys_the_mode_does_not_read_load(self, tmp_path, mode, text):
@@ -349,6 +353,56 @@ class TestOdeCoupledMode:
 
     def test_strict_init_exits_4(self, tmp_path):
         assert main(["ode-coupled", "--out", str(tmp_path), "--strict-init"]) == 4
+
+    @pytest.mark.parametrize("mode", ["ode-coupled", "convergence"])
+    def test_negative_stiffness_exits_2_before_any_step(self, tmp_path, capsys, mode):
+        # this start makes the first Newton slope 1 + dchi + tau*a exactly zero
+        cfg = tmp_path / "ode.cfg"
+        cfg.write_text("a_coef = -100\ntau = 0.01\nu_init = 1\nclosure = eq\n")
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "key 'a_coef' must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("forcing", "message"),
+        [
+            ("(t - 1.5) ** 0.5", "is not real"),  # complex before t = 1.5
+            ("1/(t - 1)", "division by zero"),  # singular at step 100, t = 1.0
+            ("10.0 ** (400*t)", "out of range"),  # overflows a float
+        ],
+    )
+    def test_forcing_without_a_real_value_exits_2(self, tmp_path, capsys, forcing, message):
+        # t is a Python float, so these raise instead of giving nan or inf
+        cfg = tmp_path / "ode.cfg"
+        cfg.write_text(f"forcing = {forcing}\nclosure = eq\n")
+        assert main(["ode-coupled", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("closure", ["eq", "neq", "hyst"])
+    @pytest.mark.parametrize("forcing", ["auto", "16*cos(pi*t) - 15 if t < 1 else 4*t - 30"])
+    def test_scalar_loop_carries_plain_floats(self, monkeypatch, tmp_path, closure, forcing):
+        # a numpy scalar anywhere in the loop would make every Newton iterate slower
+        seen = []
+        step = cli.ScalarOdeStepper.step
+
+        def spy(self, *args):
+            result = step(self, *args)
+            seen.append((args, result))
+            return result
+
+        monkeypatch.setattr(cli.ScalarOdeStepper, "step", spy)
+        path = tmp_path / "ode.cfg"
+        path.write_text(f"closure = {closure}\nforcing = {forcing}\nT = 2\n")
+        cfg = load_config(path, "ode-coupled")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the default start is clamped into the envelope
+            cli.simulate_ode_coupled(cfg, SolverOptions())
+        assert len(seen) == 200
+        for args, (u, chi, iterations, residual) in seen:
+            assert all(type(x) is float for x in (*args, u, chi, residual)), args
+            assert type(iterations) is int
 
     def test_conditional_initial_data_at_the_single_point(self, tmp_path):
         # u_init and chi_init are read at x = 0, so a conditional works; c_u is

@@ -158,6 +158,12 @@ class TestCalibration:
         assert envelope_iii.C == pytest.approx(0.0274, abs=1e-3)
         assert envelope_iii.D == 0.0
 
+    @pytest.mark.parametrize("variant", ["three-condition", "two-condition"])
+    def test_constants_are_plain_floats(self, variant):
+        # the scalar steppers compute on them once per Newton iterate
+        env = calibrate_envelope(1.0, 0.1, -5.0, variant)
+        assert all(type(value) is float for value in (env.a, env.C, env.D))
+
     def test_degenerate_denominator_raises(self):
         with pytest.raises(DegenerateCalibration):
             calibrate_envelope(1.0, 1e-8, -5.0)

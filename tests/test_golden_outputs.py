@@ -2,8 +2,9 @@
 
 Each case runs ``main()`` on a small config, with the case's CLI flags if
 it has any, and compares its exit code and the sha256 of its stdout, of
-its stderr when it wrote any, and of every file it writes with the digests
-recorded below.  The runs that fail pin their failure message, counts
+its stderr when it wrote any, of the messages of the warnings it raised
+when it raised any, and of every file it writes with the digests recorded
+below.  The runs that fail pin their failure message, counts
 included.  A change that moves any output bit fails here; a change
 meant to move outputs re-records them (run this file as a script to print
 the digests of the current tree) and says why in CHANGES.md.
@@ -14,6 +15,7 @@ import hashlib
 import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,14 @@ CASES = {
         "convergence", "taus = 0.1,0.01\ntau_fine = 0.001\nT = 2\nchi_init = 0.85\n"
     ),
     "calibrate": ("calibrate", ""),
+    # the benchmark's scalar runs at seed 0: the default sweep (111,100 steps),
+    # and the coupled run with its forcing written as an expression
+    "convergence-default": ("convergence", ""),
+    "ode-coupled-expression": (
+        "ode-coupled",
+        "tau = 0.0001\nT = 2.0\nforcing = 16.0*cos(pi*t) - 15.0 if t < 1.0 "
+        "else 4.0*cos(pi*t) + (4.0*t - 30.0)\n",
+    ),
     # the reference grid coarsened to M = 30 spends step 1's Newton budget
     "pde-m30-stall": ("pde", "M = 30\n"),
     "pde-fixed-point-stall": ("pde", "", "--solver", "fixed-point"),
@@ -54,10 +64,22 @@ DIGESTS = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "orders.csv": "e762d1a661d92694ba0a0f91cbb3acae25a29da5a5efa4d3c4513f3e9de7aa9b",
     },
+    "convergence-default": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "warnings": "99e8b6cb4960bb3c5b5683d6e9ed7fd41fd0665a4d37b79ba25db23fb359d808",
+        "orders.csv": "06c780bc5c0b646eb600348f4a078cd2333b635217957a9861e2440b49328512",
+    },
     "ode-coupled-eq": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "trajectory.csv": "561406980d28fd15e5d29ece840a6e4b8a286c80cdb43e4e2524978b1881c0ec",
+    },
+    "ode-coupled-expression": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "warnings": "ab4c13eabda0928990d650103a3484caabc464a4b178b8d2683ba2cab299c0c7",
+        "trajectory.csv": "997b7e8178057f27ebe869a9cf5e80d80c0d5c62cb384de9bac20156410b55f4",
     },
     "ode-coupled-hyst": {
         "exit": 0,
@@ -116,18 +138,24 @@ def _sha(data):
 
 
 def outputs(work_dir, mode, text, *flags):
-    """Exit code and sha256 of stdout, stderr and each output file of one run."""
+    """Exit code and sha256 of stdout, stderr, warnings and each output file of one run."""
     work_dir = Path(work_dir)
     cfg = work_dir / "run.cfg"
     cfg.write_text(text)
     out = work_dir / "out"
     stdout = io.StringIO()
     stderr = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    # a warning's text, not the source line it names, which depends on the checkout
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main([mode, "--config", str(cfg), "--out", str(out), *flags])
     digests = {"exit": code, "stdout": _sha(stdout.getvalue().encode())}
     if stderr.getvalue():
         digests["stderr"] = _sha(stderr.getvalue().encode())
+    if caught:
+        text = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        digests["warnings"] = _sha(text.encode())
     # a failed run writes no output directory
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         digests[path.name] = _sha(path.read_bytes())

@@ -445,3 +445,9 @@ class TestScalarOdeStepper:
     def test_mismatched_steepness_rejected(self, envelope_ii):
         with pytest.raises(ValueError):
             ScalarOdeStepper(Closure.hysteresis(envelope_ii), 2.0, 0.02)
+
+    @pytest.mark.parametrize("a_coef", [-100.0, -1e-300, math.nan])
+    def test_negative_stiffness_rejected(self, a_coef):
+        # a < 0 lets the Newton slope 1 + dchi + tau*a reach zero
+        with pytest.raises(ValueError, match="a_coef must be non-negative"):
+            ScalarOdeStepper(Closure.equilibrium(), 1.0, a_coef)
