@@ -36,6 +36,9 @@ _EXPR_NAMES = {
     "maximum": np.maximum,
     "pi": math.pi,
 }
+# the globals of every evaluation, built once; each call's own names are its
+# locals, so they shadow the math names and never outlive the call
+_EXPR_GLOBALS = {"__builtins__": {}, **_EXPR_NAMES}
 
 
 @dataclass(frozen=True)
@@ -310,10 +313,8 @@ def eval_expression(expr, **names):
     config error like any other expression that cannot be evaluated.
     """
     code = _compile_expression(expr)
-    namespace = dict(_EXPR_NAMES)
-    namespace.update(names)
     try:
-        value = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307 - local config files
+        value = eval(code, _EXPR_GLOBALS, names)  # noqa: S307 - local config files
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     if isinstance(value, complex):

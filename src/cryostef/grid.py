@@ -92,11 +92,8 @@ def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None
     t_left = 2.0 * k[0] / (h * h)
     t_right = 2.0 * k[-1] / (h * h)
 
-    diag = np.zeros(grid.num_cells)
-    diag[:-1] += t_int
-    diag[1:] += t_int
-    diag[0] += t_left
-    diag[-1] += t_right
+    # each cell sums its two faces; the end cells' outer faces are the boundary ones
+    diag = np.concatenate(([t_int[0] + t_left], t_int[1:] + t_int[:-1], [t_int[-1] + t_right]))
 
     bc_rhs = np.zeros(grid.num_cells)
     bc_rhs[0] = t_left * ud_left

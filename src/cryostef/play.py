@@ -37,7 +37,9 @@ def play_step(v_prev, alpha, beta):
     """Generalized-play update with bounds [alpha, beta]; independent of tau."""
     if alpha > beta:
         raise InvalidBounds(f"play bounds out of order: [{alpha}, {beta}]")
-    return min(max(v_prev, alpha), beta)
+    # min(max(v_prev, alpha), beta) without the builtin calls, bit for bit
+    v = alpha if alpha > v_prev else v_prev
+    return beta if beta < v else v
 
 
 def drive_play(u_schedule, env, tau, T, v_init, strict=True):

@@ -14,6 +14,8 @@ C(U) is kept fully implicit; its slope only enters the Newton Jacobian.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +35,8 @@ from .grid import assemble, boundary_transmissibilities
 EQ = "eq"
 NEQ = "neq"
 HYST = "hyst"
+
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 @dataclass(frozen=True)
@@ -92,57 +96,56 @@ def closure_fraction(closure, u, upsilon_prev, beta, tau, material):
     """
     if closure.kind == HYST and np.any(np.asarray(beta) < 0.0):
         raise InvalidBounds("negative envelope gap")
-    return _closure_update(closure, equilibrium_fraction(u, material.b), upsilon_prev, beta, tau)
+    update, _ = _closure_laws(closure, upsilon_prev, beta, tau)
+    return update(equilibrium_fraction(u, material.b))
 
 
-def _closure_update(closure, f, upsilon_prev, beta, tau):
-    # the closure's fraction given the equilibrium fraction f at the iterate
+def _closure_laws(closure, upsilon_prev, beta, tau):
+    # the closure's fraction Y(f) and its slope dY/dU(f, fp), given the
+    # equilibrium fraction f at the iterate and its slope fp, resolved once
+    # per step; the clamp contributes nothing to the slope while strictly
+    # inside its interval and the full fraction slope while pinned to a bound
     if closure.kind == EQ:
-        return f
+        return (lambda f: f), (lambda f, fp: fp)
     if closure.kind == NEQ:
         w = 1.0 / (1.0 + tau * closure.rate)
-        return (1.0 - w) * f + w * upsilon_prev
-    return f + np.clip(upsilon_prev - f, 0.0, beta)
+        c1 = 1.0 - w
+        c0 = w * upsilon_prev
+        return (lambda f: c1 * f + c0), (lambda f, fp: c1 * fp)
 
+    def update(f):
+        return f + np.clip(upsilon_prev - f, 0.0, beta)
 
-def _closure_slope(closure, f, fp, upsilon_prev, beta, tau):
-    # dY/dU diagonal from the fraction f and its slope fp; the clamp
-    # contributes nothing while strictly inside its interval and the full
-    # fraction slope while pinned to a bound.
-    if closure.kind == EQ:
-        return fp
-    if closure.kind == NEQ:
-        w = 1.0 / (1.0 + tau * closure.rate)
-        return (1.0 - w) * fp
-    s = upsilon_prev - f
-    interior = (s > 0.0) & (s < beta)
-    return np.where(interior, 0.0, fp)
+    def slope(f, fp):
+        s = upsilon_prev - f
+        return np.where((s > 0.0) & (s < beta), 0.0, fp)
+
+    return update, slope
 
 
 class StepProblem:
     """One implicit step with everything but the matrix frozen.
 
-    The previous fraction, the lagged envelope gap, and the right-hand
-    side are fixed at construction; the diffusion matrix is supplied by
-    ``assembler``, kept as ``assemble``, and may be refreshed at any
-    iterate, which is what the matrix-lagging outer loop does.
+    The closure, the previous fraction, the lagged envelope gap, and the
+    right-hand side are fixed at construction; the diffusion matrix is
+    supplied by ``assembler``, kept as ``assemble``, and may be refreshed
+    at any iterate, which is what the matrix-lagging outer loop does.
 
-    The pointwise laws are evaluated once per iterate: the last evaluation
-    is kept with the array it was made at and reused while the same array
-    object comes back.  Iterates are therefore never modified in place.
+    The pointwise laws and the stored energy are evaluated once per
+    iterate, and the matrix is scaled by tau once per assembly: the last
+    evaluation is kept with the object it was made at and reused while the
+    same object comes back.  Iterates are therefore never modified in place.
     """
 
     def __init__(self, prev, closure, tau, f_n, material, assembler):
-        self.closure = closure
         self.tau = tau
         self.material = material
         self.assemble = assembler
-        self.upsilon_prev = prev.upsilon
         self.beta = closure.envelope.gap(prev.u) if closure.kind == HYST else None
+        self._update, self._slope = _closure_laws(closure, prev.upsilon, self.beta, tau)
         self.initial_guess = np.array(prev.u, dtype=float, copy=True)
-        # holding the array keeps its id from being reused by another one
-        self._laws_at = None
-        self._laws = None
+        # holding each key keeps its id from being reused by another object
+        self._laws_at = self._energy_at = self._scaled_at = None
         # the laws at the previous state also serve the first assembly and residual
         self.rhs = (
             tau * np.asarray(f_n, dtype=float)
@@ -158,33 +161,34 @@ class StepProblem:
         return self._laws
 
     def closure_fraction(self, u):
-        return _closure_update(
-            self.closure, self.laws(u).fraction, self.upsilon_prev, self.beta, self.tau
-        )
+        return self._update(self.laws(u).fraction)
+
+    def energy(self, u):
+        """Sensible energy plus closure fraction at ``u``, once per iterate object."""
+        if u is not self._energy_at:
+            self._energy = self.laws(u).capacity_energy(self.material) + self.closure_fraction(u)
+            self._energy_at = u
+        return self._energy
+
+    def scaled_matrix(self, asm):
+        """``(tau*diag, tau*off)`` of an assembly, once per assembly object."""
+        if asm is not self._scaled_at:
+            self._scaled = (self.tau * asm.diag, self.tau * asm.off)
+            self._scaled_at = asm
+        return self._scaled
 
     def residual(self, u, asm):
-        return (
-            self.laws(u).capacity_energy(self.material)
-            + self.closure_fraction(u)
-            + self.tau * (asm.matvec(u) - asm.bc_rhs)
-            - self.rhs
-        )
+        return self.energy(u) + self.tau * (asm.matvec(u) - asm.bc_rhs) - self.rhs
 
     def jacobian(self, u, asm):
         laws = self.laws(u)
+        tau_diag, tau_off = self.scaled_matrix(asm)
         diag = (
             laws.capacity_slope(self.material)
-            + _closure_slope(
-                self.closure,
-                laws.fraction,
-                laws.fraction_slope(),
-                self.upsilon_prev,
-                self.beta,
-                self.tau,
-            )
-            + self.tau * asm.diag
+            + self._slope(laws.fraction, laws.fraction_slope())
+            + tau_diag
         )
-        return diag, self.tau * asm.off
+        return diag, tau_off
 
 
 def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic"):
@@ -212,6 +216,11 @@ def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average=
     except NonConvergence as err:
         err.t = t_new
         raise
+    finally:
+        # the assembler refers back to the problem; unlinking them lets
+        # reference counting free the step's arrays now, not the cyclic
+        # collector at some later step
+        problem.assemble = None
     upsilon_new = problem.closure_fraction(u_new)
     return TimeState(t_new, u_new, np.asarray(upsilon_new, dtype=float), problem.beta), report
 
@@ -253,8 +262,17 @@ def validate_initial_fraction(closure, material, u0, chi0, strict=False):
             message += f" in cell {j}, the worst of {n_out} of {u0.size} cells outside"
         if strict:
             raise InfeasibleState(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        warnings.warn(message, RuntimeWarning, stacklevel=_stacklevel_outside_package())
     return np.clip(chi0, lo, hi)
+
+
+def _stacklevel_outside_package():
+    # the stacklevel, for the function that calls this one, of the first
+    # frame outside this package: the line of the caller's own code
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def energy_balance_defect(prev, new, material, grid, bc, f_n, tau, face_average="harmonic"):
@@ -300,7 +318,9 @@ def _envelope_gap(theta, env):
     if theta < env.theta0 or theta > 0.0:
         return 0.0
     g = env.a * math.exp(env.b_bar * theta) + env.D * theta + env.C
-    return max(min(g, 1.0) - _fraction(theta, env.b), 0.0)
+    # max(min(g, 1.0) - F, 0.0) without the builtin calls, bit for bit
+    d = (1.0 if 1.0 < g else g) - _fraction(theta, env.b)
+    return 0.0 if 0.0 > d else d
 
 
 class ScalarOdeStepper:
@@ -337,6 +357,8 @@ class ScalarOdeStepper:
         """
         g = tau * f_value + u_prev + chi_prev
         ta = tau * self.a_coef
+        b = self.b
+        tol = self.tol
         hyst = self.closure.kind == HYST
         if hyst:
             beta = _envelope_gap(u_prev, self.closure.envelope)
@@ -347,16 +369,19 @@ class ScalarOdeStepper:
         u = u_prev
         for it in range(self.max_iter + 1):
             # one exponential per iterate; the fraction slope is b*f below the kink
-            f = _fraction(u, self.b)
+            f = _fraction(u, b)
             if hyst:
                 s = chi_prev - f
-                chi = f + min(max(s, 0.0), beta)
+                # min(max(s, 0.0), beta) without the builtin calls: the same
+                # operand on ties, signed zeros and NaN
+                c = 0.0 if 0.0 > s else s
+                chi = f + (beta if beta < c else c)
             else:
                 chi = c1 * f + c0
             phi = u + chi + ta * u - g
-            if abs(phi) <= self.tol:
+            if abs(phi) <= tol:
                 return u, chi, it, abs(phi)
-            fp = 0.0 if u > 0.0 else self.b * f
+            fp = 0.0 if u > 0.0 else b * f
             # the clamp adds nothing to the slope strictly inside its interval
             if hyst:
                 dchi = 0.0 if 0.0 < s < beta else fp

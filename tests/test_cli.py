@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cryostef import cli
+from cryostef import cli, config, play
 from cryostef.cli import main
 from cryostef.config import (
     PiecewiseLinearSchedule,
@@ -22,7 +22,9 @@ from cryostef.config import (
 from cryostef.constitutive import calibrate_envelope, equilibrium_fraction
 from cryostef.errors import ConfigError
 from cryostef.grid import Grid1D
+from cryostef.play import drive_play
 from cryostef.solve import SolverOptions
+from cryostef.stepper import Closure, ScalarOdeStepper, validate_initial_fraction
 
 
 def read_csv(path):
@@ -583,6 +585,56 @@ class TestPdeMode:
         assert code == 4
 
 
+class TestExpressionNamespace:
+    # every call evaluates over one shared math namespace, with the caller's
+    # names as its locals
+
+    def test_bound_name_does_not_leak_into_the_next_call(self):
+        assert eval_expression("2*x", x=1.5) == 3.0
+        with pytest.raises(ConfigError, match="name 'x' is not defined"):
+            eval_expression("2*x")
+
+    def test_unbound_name_fails_on_every_call(self):
+        forcing = cli._time_expr_fn("x + t", None)
+        for t in (0.0, 0.5, 0.0):
+            with pytest.raises(ConfigError, match="name 'x' is not defined"):
+                forcing(t)
+
+    def test_bound_name_shadows_a_math_name(self):
+        assert eval_expression("pi", pi=3.0) == 3.0
+        assert eval_expression("exp(t)", t=1.0, exp=lambda v: 7.0 * v) == 7.0
+        assert eval_expression("pi") == math.pi
+        assert eval_expression("exp(t)", t=1.0) == np.exp(1.0)
+
+    def test_full_runs_leave_the_namespace_unchanged(self, tmp_path):
+        before = dict(config._EXPR_GLOBALS)
+        runs = {
+            "pde": "M = 10\nT = 0.1\nclosure = hyst\nu_init = -5 + x\n"
+            "chi_init = F(u0)\nsource = 0.1*x*t\n",
+            "ode-coupled": "T = 0.5\nchi_init = F(u0)\nforcing = (16 if t < 1 else 4)*cos(pi*t)\n",
+            "ode-driven": "T = 1\ndrive = 8*cos(pi*t/4) - 2\n",
+        }
+        for mode, text in runs.items():
+            path = tmp_path / f"{mode}.cfg"
+            path.write_text(text)
+            assert main([mode, "--config", str(path), "--out", str(tmp_path / mode)]) == 0
+        assert config._EXPR_GLOBALS == before
+        assert config._EXPR_GLOBALS["__builtins__"] == {}
+
+    @pytest.mark.parametrize("expr", ["open(x)", "print(x)", "len(x)", "globals()", "eval(x)"])
+    def test_builtins_stay_unreachable(self, expr):
+        with pytest.raises(ConfigError, match="is not defined"):
+            eval_expression(expr, x=np.zeros(2))
+
+    def test_import_is_unreachable_even_past_the_whitelist(self):
+        with pytest.raises(ConfigError, match="may not use Name __import__"):
+            eval_expression("__import__('os')")
+        # the evaluation namespace alone has no builtins to reach it with
+        code = compile("__import__('os')", "<config>", "eval")
+        with pytest.raises(NameError, match="__import__"):
+            eval(code, config._EXPR_GLOBALS, {})
+
+
 class TestStepInputsSampledOnce:
     def test_pde_keeps_what_advance_sampled(self, monkeypatch):
         # each step samples both boundary schedules and the source once, in
@@ -620,6 +672,43 @@ class TestStepInputsSampledOnce:
         for state, source, bc in zip(run.states[1:], run.sources, run.bcs):
             assert bc == (cfg.bc_left(state.t), cfg.bc_right(state.t))
             assert np.array_equal(source, eval_expression(cfg.source, x=x, t=state.t))
+
+
+class TestOneKernelCallPerStep:
+    # the benchmark stamps every scalar step through these two calls, and
+    # swaps ScalarOdeStepper.step for its stamping wrapper after the first one
+
+    def test_coupled_steps_call_the_class_attribute_each_step(self, monkeypatch):
+        calls = Counter()
+        step = ScalarOdeStepper.step
+
+        def later(self, *args):
+            calls["later"] += 1
+            return step(self, *args)
+
+        def first(self, *args):
+            calls["first"] += 1
+            monkeypatch.setattr(ScalarOdeStepper, "step", later)
+            return step(self, *args)
+
+        monkeypatch.setattr(ScalarOdeStepper, "step", first)
+        cfg = load_config(None, "ode-coupled", overrides={"T": 0.5, "chi_init": "auto"})
+        times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions())
+        assert len(times) == 51
+        assert calls == {"first": 1, "later": 49}
+
+    def test_driven_steps_call_play_step_each_step(self, monkeypatch, tmp_path):
+        calls = []
+        play_step = play.play_step
+
+        def counting(*args):
+            calls.append(args)
+            return play_step(*args)
+
+        monkeypatch.setattr(play, "play_step", counting)
+        cfg = load_config(None, "ode-driven", overrides={"T": 3.0})
+        rows = cli.run_ode_driven(cfg, SolverOptions(), tmp_path)
+        assert len(rows) == len(calls) == 80
 
 
 class TestModeFlags:
@@ -709,6 +798,22 @@ class TestInitialFractionMessages:
         err = capsys.readouterr().err
         assert err == f"infeasible initial data: initial fraction {chi} outside {detail}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("caller", ["main", "drive_play", "validate_initial_fraction"])
+    def test_clamp_warning_names_the_calling_file(self, tmp_path, caller):
+        # the first frame outside the package, not a line of cli.py or play.py
+        env = calibrate_envelope(1.0, 0.1, -5.0)
+        calls = {
+            # the default coupled start lies below the envelope
+            "main": lambda: main(["ode-coupled", "--out", str(tmp_path)]),
+            "drive_play": lambda: drive_play(lambda t: -5.0, env, 0.1, 1.0, 0.9, strict=False),
+            "validate_initial_fraction": lambda: validate_initial_fraction(
+                Closure.hysteresis(env), None, -5.0, 0.9
+            ),
+        }
+        with pytest.warns(RuntimeWarning, match="clamped into") as record:
+            calls[caller]()
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestCsvWriter:

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -63,6 +64,19 @@ class TestPlayStep:
             a = rng.uniform(-2, 2)
             b = a + rng.uniform(0, 3)
             assert play_step(v, a, b) == float(resolvent(ConstraintInterval(a, b), v))
+
+    def test_clamp_is_builtin_min_max_bit_for_bit(self):
+        # signed zeros, equal bounds, infinities and NaN: the same operand
+        # as min(max(v, alpha), beta), compared as bit patterns
+        special = [-math.inf, -1.5, -0.0, 0.0, 0.25, 1.0, math.inf, math.nan]
+        for alpha in special:
+            for beta in special:
+                if alpha > beta:
+                    continue
+                for v in special:
+                    got = play_step(v, alpha, beta)
+                    want = min(max(v, alpha), beta)
+                    assert struct.pack("<d", got) == struct.pack("<d", want), (v, alpha, beta)
 
 
 class TestDrivePlay:

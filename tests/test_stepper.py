@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ScalarStepPerIterate, bisect, dense_step_residual
+from oracles import ScalarStepPerIterate, _scalar_envelope_gap, bisect, dense_step_residual
 
 from cryostef.constitutive import (
     EXP_FLOOR,
@@ -23,11 +23,17 @@ from cryostef.stepper import (
     ScalarOdeStepper,
     StepProblem,
     TimeState,
+    _envelope_gap,
     advance,
     closure_fraction,
     energy_balance_defect,
     validate_initial_fraction,
 )
+
+
+def _bits(values):
+    # float bit patterns: -0.0 differs from 0.0, and NaN equals itself
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def scalar_assembly(kappa):
@@ -433,6 +439,40 @@ class TestScalarOdeStepper:
         # compared as bit patterns, so -0.0 and 0.0 differ
         assert np.array_equal(shipped[0].view(np.int64), oracle[0].view(np.int64))
         assert shipped[1] == oracle[1]
+
+    @pytest.mark.parametrize("kind", ["eq", "neq", "hyst"])
+    def test_special_values_bit_equal_to_per_iterate_oracle(self, kind):
+        # the derandomized test above draws finite floats only: here the
+        # previous fraction is a signed zero, an infinity or NaN, and the
+        # start sits on the kink, below the exp floor or outside the
+        # envelope, where the clamp interval has zero width
+        env = calibrate_envelope(1.0, 0.1, -5.0)
+        closure = {
+            "eq": Closure.equilibrium(),
+            "neq": Closure.kinetic(5.0),
+            "hyst": Closure.hysteresis(env),
+        }[kind]
+        for u0 in (0.0, -0.0, -1.0, 1.0, -6.0, 2.0 * EXP_FLOOR):
+            for chi0 in (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan):
+                args = (u0, chi0, 0.01, [-3.0, 0.0, 5.0])
+                shipped = self.trajectory(ScalarOdeStepper(closure, 1.0, 0.02), *args)
+                oracle = self.trajectory(ScalarStepPerIterate(closure, 1.0, 0.02), *args)
+                assert _bits(shipped[0]) == _bits(oracle[0]), (u0, chi0)
+                assert repr(shipped[1]) == repr(oracle[1]), (u0, chi0)
+
+    @pytest.mark.parametrize(
+        "env_args", [(1.0, 0.1, -5.0), (1.0, 0.01, -5.0), (0.5, 0.75, -5.0, "two-condition")]
+    )
+    def test_envelope_gap_bit_equal_to_min_max_oracle(self, env_args):
+        # three-condition upper curves reach 1 exactly at zero, the
+        # two-condition one rises above 1 and is capped
+        env = calibrate_envelope(*env_args)
+        edges = [env.theta0, math.nextafter(env.theta0, 0.0), math.nextafter(env.theta0, -7.0)]
+        thetas = np.linspace(env.theta0, 0.0, 2001).tolist() + edges + [
+            -0.0, 0.0, math.nextafter(0.0, -1.0), -math.inf, math.inf, math.nan
+        ]
+        got = [_envelope_gap(theta, env) for theta in thetas]
+        assert _bits(got) == _bits([_scalar_envelope_gap(theta, env) for theta in thetas])
 
     def test_stationary(self):
         env = calibrate_envelope(1.0, 0.1, -5.0)
