@@ -214,10 +214,25 @@ def write_pde_outputs(run, out_dir):
 # Scalar ODE modes
 
 
-def _default_coupled_forcing(t):
-    h = 16.0 if t < 1.0 else 4.0
-    g = -15.0 if t < 1.0 else 4.0 * t - 30.0
-    return h * float(np.cos(np.pi * t)) + g
+def _default_coupled_forcing(times, scratch):
+    """The built-in coupled forcing at each of an array of times, as floats.
+
+    ``h*cos(pi*t) + g`` with ``(h, g) = (16, -15)`` before t = 1 and
+    ``(4, 4t - 30)`` from then on.  The cosines are taken over the whole
+    array in ``scratch`` (as long as ``times``), so a call allocates no
+    array; numpy's cosine of an array has the bits of its cosine of each
+    element.
+    """
+    np.multiply(np.pi, times, out=scratch)
+    np.cos(scratch, out=scratch)
+    return [
+        16.0 * c - 15.0 if t < 1.0 else 4.0 * c + (4.0 * t - 30.0)
+        for t, c in zip(times.tolist(), scratch.tolist())
+    ]
+
+
+# sampled a block of times at a time, see _forcing_sampler
+_default_coupled_forcing.vectorized = True
 
 
 def _default_drive(t):
@@ -232,16 +247,40 @@ def _time_expr_fn(expr, default):
     return lambda t: float(eval_expression(expr, t=t))
 
 
+# time steps whose forcing is sampled together
+_FORCING_BLOCK_STEPS = 1024
+
+
+def _forcing_sampler(forcing):
+    """``sample(times)``: the forcing at a block of times, as floats.
+
+    A vectorized forcing is evaluated over the whole block at once, in a
+    scratch array allocated once here.  Any other function of time (a
+    config expression, or a scalar function put in place of the built-in
+    one) is called lazily, once per time as the values are consumed, so a
+    failing call surfaces at its own step.
+    """
+    if getattr(forcing, "vectorized", False):
+        scratch = np.empty(_FORCING_BLOCK_STEPS)
+        return lambda times: forcing(times, scratch[:len(times)])
+    return lambda times: map(forcing, times.tolist())
+
+
 def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
     """Integrate the scalar coupled system; arrays indexed by step number.
 
     The loop carries the state and the forcing from step to step as plain
     floats, so no Newton iterate pays for numpy scalar arithmetic; each
-    step's state is written into the preallocated arrays.
+    step's state is written into the preallocated arrays.  The forcing is
+    sampled a block of steps at a time (``_forcing_sampler``): the built-in
+    one with one array cosine per block, an expression step by step as the
+    block is consumed, so nothing but the three returned arrays grows with
+    the number of steps.  The stepper is handed back the state object it
+    returned, so it reuses that state's fraction.
     """
     tau = cfg.tau if tau is None else tau
     closure = build_closure(cfg)
-    forcing = _time_expr_fn(cfg.forcing, _default_coupled_forcing)
+    sample = _forcing_sampler(_time_expr_fn(cfg.forcing, _default_coupled_forcing))
     # one point at x = 0 with c(u) = u: the material keys of pde mode are not read
     material = ScaledMaterial(b=cfg.b, c_u=1.0, c_f=1.0, k_u=1.0, k_f=1.0)
     u0, chi0 = initial_state(cfg, closure, material, 0.0, strict_init)
@@ -253,15 +292,17 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
     chi = np.empty(n_steps + 1)
     u_n, chi_n = float(u0), float(chi0)
     u[0], chi[0] = u_n, chi_n
-    for n in range(1, n_steps + 1):
-        # n * tau has the bits of times[n]; both forcings return floats
-        try:
-            u_n, chi_n, _, _ = stepper.step(u_n, chi_n, tau, forcing(n * tau))
-        except NonConvergence as err:
-            err.step = n
-            err.t = times[n]
-            raise
-        u[n], chi[n] = u_n, chi_n
+    n = 0
+    try:
+        for start in range(1, n_steps + 1, _FORCING_BLOCK_STEPS):
+            block = times[start:start + _FORCING_BLOCK_STEPS]
+            for n, f_n in enumerate(sample(block), start):
+                u_n, chi_n, _, _ = stepper.step(u_n, chi_n, tau, f_n)
+                u[n], chi[n] = u_n, chi_n
+    except NonConvergence as err:
+        err.step = n
+        err.t = times[n]
+        raise
     return times, u, chi
 
 

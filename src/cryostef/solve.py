@@ -90,12 +90,12 @@ def thomas_solve(diag, off, rhs):
     piv = w[0]
     acc = g[0]
     for i in range(1, n):
-        if abs(piv) < tiny:
+        if -tiny < piv < tiny:
             raise SingularJacobian(f"pivot {piv} collapsed at row {i - 1}")
         m = e[i - 1] / piv
         w[i] = piv = w[i] - m * e[i - 1]
         g[i] = acc = g[i] - m * acc
-    if abs(piv) < tiny:
+    if -tiny < piv < tiny:
         raise SingularJacobian(f"pivot {piv} collapsed at last row")
 
     # back substitution overwrites g with the solution

@@ -335,6 +335,11 @@ class ScalarOdeStepper:
     hyst clamps ``chi_prev - f`` into the lagged envelope gap.  The
     stiffness ``a_coef`` must be non-negative, so the Newton slope
     ``1 + dchi + tau*a`` is at least 1 and the division never fails.
+
+    The stepper keeps the fraction ``F(u)`` of the state it last accepted,
+    with that float object: a step handed the same object back as
+    ``u_prev`` starts from the kept value, any other float is evaluated
+    afresh.  Floats are immutable, so the two give the same bits.
     """
 
     def __init__(self, closure, b, a_coef, tol=1e-8, max_iter=20):
@@ -347,6 +352,8 @@ class ScalarOdeStepper:
         self.a_coef = a_coef
         self.tol = tol
         self.max_iter = max_iter
+        # holding the accepted state keeps its id from going to another object
+        self._accepted_u = self._accepted_f = None
 
     def step(self, u_prev, chi_prev, tau, f_value):
         """One implicit step; returns (u, chi, iterations, residual).
@@ -367,9 +374,8 @@ class ScalarOdeStepper:
             c1 = 1.0 - w
             c0 = w * chi_prev
         u = u_prev
+        f = self._accepted_f if u is self._accepted_u else _fraction(u, b)
         for it in range(self.max_iter + 1):
-            # one exponential per iterate; the fraction slope is b*f below the kink
-            f = _fraction(u, b)
             if hyst:
                 s = chi_prev - f
                 # min(max(s, 0.0), beta) without the builtin calls: the same
@@ -380,7 +386,9 @@ class ScalarOdeStepper:
                 chi = c1 * f + c0
             phi = u + chi + ta * u - g
             if abs(phi) <= tol:
+                self._accepted_u, self._accepted_f = u, f
                 return u, chi, it, abs(phi)
+            # the fraction slope is b*f below the kink
             fp = 0.0 if u > 0.0 else b * f
             # the clamp adds nothing to the slope strictly inside its interval
             if hyst:
@@ -388,6 +396,8 @@ class ScalarOdeStepper:
             else:
                 dchi = c1 * fp
             u -= phi / (1.0 + dchi + ta)
+            # one exponential per iterate
+            f = _fraction(u, b)
         raise NonConvergence(
             f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)
         )

@@ -141,6 +141,17 @@ def drive_play_per_step(u_schedule, env, tau, T, v_init):
     return rows
 
 
+def coupled_forcing(t):
+    """The built-in ``ode-coupled`` forcing at one time, through numpy's scalar cosine.
+
+    The production run samples it a block of steps at a time and must hand
+    the stepper these bits at every step time ``n*tau``.
+    """
+    h = 16.0 if t < 1.0 else 4.0
+    g = -15.0 if t < 1.0 else 4.0 * t - 30.0
+    return h * float(np.cos(np.pi * t)) + g
+
+
 def _scalar_fraction(u, b):
     if u >= 0.0:
         return 1.0

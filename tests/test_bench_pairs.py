@@ -117,3 +117,13 @@ def test_fewer_than_five_pairs_refused(pairs_arg, capsys):
         bench_pairs.main(argv)
     assert info.value.code == 2
     assert "at least 5 pairs" in capsys.readouterr().err
+
+
+def test_malloc_variables_recorded():
+    # glibc's malloc tunables move peak_rss_mb, so the provenance names them
+    environ = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_ARENA_MAX": "2", "PATH": "/bin",
+               "XMALLOC_": "no", "LD_PRELOAD": ""}
+    assert bench_pairs.malloc_environment(environ) == {
+        "MALLOC_ARENA_MAX": "2", "MALLOC_MMAP_THRESHOLD_": "131072"
+    }
+    assert bench_pairs.malloc_environment({"PATH": "/bin"}) == {}

@@ -2,12 +2,16 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import coupled_forcing
 
 from cryostef import cli, config, play
 from cryostef.cli import main
@@ -20,7 +24,7 @@ from cryostef.config import (
     parse_schedule,
 )
 from cryostef.constitutive import calibrate_envelope, equilibrium_fraction
-from cryostef.errors import ConfigError
+from cryostef.errors import ConfigError, NonConvergence
 from cryostef.grid import Grid1D
 from cryostef.play import drive_play
 from cryostef.solve import SolverOptions
@@ -709,6 +713,109 @@ class TestOneKernelCallPerStep:
         cfg = load_config(None, "ode-driven", overrides={"T": 3.0})
         rows = cli.run_ode_driven(cfg, SolverOptions(), tmp_path)
         assert len(rows) == len(calls) == 80
+
+
+def _record_forcing(monkeypatch):
+    # the forcing value handed to every scalar step, in step order
+    seen = []
+    step = ScalarOdeStepper.step
+
+    def recording(self, u_prev, chi_prev, tau, f_value):
+        seen.append(f_value)
+        return step(self, u_prev, chi_prev, tau, f_value)
+
+    monkeypatch.setattr(ScalarOdeStepper, "step", recording)
+    return seen
+
+
+def _assert_forcing_is_the_oracle(seen, tau, n_steps):
+    # a float with the bits of the scalar oracle at every step time n*tau
+    assert len(seen) == n_steps
+    assert all(type(value) is float for value in seen)
+    expected = [coupled_forcing(n * tau) for n in range(1, n_steps + 1)]
+    assert np.array_equal(np.array(seen).view(np.int64), np.array(expected).view(np.int64))
+
+
+class TestForcingBlocks:
+    # the built-in forcing is sampled a block of steps at a time; every step
+    # must still see the scalar forcing's bits at its own time
+
+    def test_default_coupled_run(self, monkeypatch):
+        seen = _record_forcing(monkeypatch)
+        cfg = load_config(None, "ode-coupled")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions())
+        _assert_forcing_is_the_oracle(seen, cfg.tau, len(times) - 1)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.01, 0.001, 1e-4, 3e-4, 3.7e-4])
+    def test_sweep_steps(self, monkeypatch, tau):
+        # the default sweep's steps and fine step, and two steps off its grid
+        cfg = load_config(None, "convergence")
+        seen = _record_forcing(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions(), tau=tau)
+        _assert_forcing_is_the_oracle(seen, tau, len(times) - 1)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        tau=st.floats(1e-4, 0.05),
+        n_steps=st.integers(1, 2600).filter(lambda n: n % cli._FORCING_BLOCK_STEPS),
+    )
+    def test_drawn_runs_whose_last_block_is_partial(self, tau, n_steps):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = _record_forcing(monkeypatch)
+            cfg = load_config(
+                None, "ode-coupled", overrides={"tau": tau, "T": n_steps * tau, "chi_init": "auto"}
+            )
+            times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions())
+        assert len(times) == n_steps + 1
+        _assert_forcing_is_the_oracle(seen, tau, n_steps)
+
+    def test_expression_is_evaluated_step_by_step(self, monkeypatch):
+        # nothing is evaluated ahead of its step: a forcing that fails at
+        # t = 0.5 fails after the steps before it, and a solver failure at
+        # step 1 wins over it
+        seen = _record_forcing(monkeypatch)
+        forcing = "1.0 if t < 0.5 else undefined_name"
+        cfg = load_config(
+            None, "ode-coupled", overrides={"tau": 0.01, "forcing": forcing, "chi_init": "auto"}
+        )
+        with pytest.raises(ConfigError, match="undefined_name"):
+            cli.simulate_ode_coupled(cfg, SolverOptions())
+        assert seen == [1.0] * 49
+        with pytest.raises(NonConvergence) as info:
+            cli.simulate_ode_coupled(cfg, SolverOptions(max_inner=1))
+        assert (info.value.step, info.value.t) == (1, 0.01)
+
+    def test_memory_stays_within_the_returned_arrays(self):
+        # the three returned arrays plus one array of headroom: a full-length
+        # list of forcing values, or a full-length temporary, breaks this
+        overrides = {"tau": 1e-4, "T": 10.0, "chi_init": "auto"}
+        cfg = load_config(None, "ode-coupled", overrides=overrides)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions())
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        n = len(times) - 1
+        assert n == 100_000
+        assert peak < 4 * 8 * (n + 1)
+
+    def test_nonconvergence_message(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["ode-coupled", "--max-iter", "1", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "solver failed to converge at step 1 (t=0.01): "
+            "scalar step stalled at residual 1.230e-05\n"
+        )
+        assert not out.exists()
 
 
 class TestModeFlags:

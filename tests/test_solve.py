@@ -84,7 +84,20 @@ class TestThomas:
 
     @pytest.mark.parametrize(
         "diag, off",
-        [([1.0, 1.0], [1.0]), ([0.0, 1.0], [1.0]), ([2.0, 1e-16, 3.0], [1e-9, 1.0]), ([0.0], [])],
+        [
+            ([1.0, 1.0], [1.0]),
+            ([0.0, 1.0], [1.0]),
+            ([2.0, 1e-16, 3.0], [1e-9, 1.0]),
+            ([0.0], []),
+            # a -0.0 pivot, first and last
+            ([-0.0, 1.0], [1.0]),
+            ([1.0, -0.0], [0.0]),
+            # an infinite entry makes every finite pivot collapse; an
+            # infinite pivot passes and the next one collapses
+            ([1.0, 1.0], [math.inf]),
+            ([math.inf, 1.0], [1.0]),
+            ([-math.inf, 1.0], [1.0]),
+        ],
     )
     def test_singular_message_matches_numpy_loop(self, diag, off):
         diag = np.array(diag)
@@ -95,6 +108,22 @@ class TestThomas:
         with pytest.raises(SingularJacobian) as got:
             thomas_solve(diag, off, rhs)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [([math.inf, math.inf], [math.inf]), ([math.nan, 1.0], [1.0]), ([1.0, math.nan], [0.5])],
+    )
+    def test_nan_pivot_passes_as_in_numpy_loop(self, diag, off):
+        # a NaN pivot, made by the elimination (inf/inf) or given, compares
+        # false with every bound: neither loop raises, both return NaN
+        diag = np.array(diag)
+        off = np.array(off)
+        rhs = np.ones_like(diag)
+        with np.errstate(invalid="ignore"):
+            expected = thomas_numpy(diag, off, rhs)
+        got = thomas_solve(diag, off, rhs)
+        assert np.isnan(expected).all()
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestNewtonFrozenA:

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ScalarStepPerIterate, _scalar_envelope_gap, bisect, dense_step_residual
 
+from cryostef import cli
+from cryostef import stepper as stepper_module
+from cryostef.config import load_config
 from cryostef.constitutive import (
     EXP_FLOOR,
     ScaledMaterial,
@@ -395,10 +399,13 @@ class TestScalarOdeStepper:
             assert worst <= 1e-10, closure.kind
 
     @staticmethod
-    def trajectory(stepper, u, chi, tau, forcing):
-        # (u, chi, iterations) after each step, and the residual a stall ended on
+    def trajectory(stepper, u, chi, tau, forcing, fresh=False):
+        # (u, chi, iterations) after each step, and the residual a stall ended
+        # on; ``fresh`` hands every step an equal float of another identity
         rows = []
         for f_value in forcing:
+            if fresh:
+                u = float(repr(u))
             try:
                 u, chi, iters, _ = stepper.step(u, chi, tau, f_value)
             except NonConvergence as err:
@@ -459,6 +466,62 @@ class TestScalarOdeStepper:
                 oracle = self.trajectory(ScalarStepPerIterate(closure, 1.0, 0.02), *args)
                 assert _bits(shipped[0]) == _bits(oracle[0]), (u0, chi0)
                 assert repr(shipped[1]) == repr(oracle[1]), (u0, chi0)
+
+    @pytest.mark.parametrize("kind", ["eq", "neq", "hyst"])
+    def test_kept_fraction_bit_equal_to_a_fresh_float(self, kind):
+        # a step handed back the state it accepted reuses that state's
+        # fraction; an equal float of another identity (float(repr(u))
+        # keeps -0.0) is evaluated afresh, and the two agree bit for bit,
+        # from the special starts and fractions of the test above
+        env = calibrate_envelope(1.0, 0.1, -5.0)
+        closure = {
+            "eq": Closure.equilibrium(),
+            "neq": Closure.kinetic(5.0),
+            "hyst": Closure.hysteresis(env),
+        }[kind]
+        forcing = [-3.0, 0.0, 5.0, 60.0, -60.0, 0.0, 0.0]
+        for u0 in (0.0, -0.0, -1.0, 1.0, -6.0, EXP_FLOOR, 2.0 * EXP_FLOOR):
+            for chi0 in (0.0, -0.0, 0.5, 1.0, math.inf, -math.inf, math.nan):
+                args = (u0, chi0, 0.01, forcing)
+                kept = self.trajectory(ScalarOdeStepper(closure, 1.0, 0.02), *args)
+                fresh = self.trajectory(ScalarOdeStepper(closure, 1.0, 0.02), *args, fresh=True)
+                assert _bits(kept[0]) == _bits(fresh[0]), (u0, chi0)
+                assert repr(kept[1]) == repr(fresh[1]), (u0, chi0)
+
+    def test_default_sweep_evaluates_each_accepted_fraction_once(self, monkeypatch):
+        # the default convergence sweep: 111,100 steps from 4 initial states.
+        # Each step's first iterate reuses the fraction its previous step
+        # accepted, except the first step of each run; handed fresh floats,
+        # the stepper evaluates every iterate, as it did before it kept them
+        calls = Counter()
+        fraction = stepper_module._fraction
+
+        def counting(u, b):
+            calls["fraction"] += 1
+            return fraction(u, b)
+
+        monkeypatch.setattr(stepper_module, "_fraction", counting)
+        cfg = load_config(None, "convergence")
+        taus = cfg.taus + (cfg.tau_fine,)
+
+        def sweep():
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                runs = [cli.simulate_ode_coupled(cfg, SolverOptions(), tau=tau) for tau in taus]
+            return calls["fraction"], runs
+
+        kept, kept_runs = sweep()
+        step = ScalarOdeStepper.step
+        monkeypatch.setattr(
+            ScalarOdeStepper, "step", lambda self, u, *rest: step(self, float(repr(u)), *rest)
+        )
+        fresh, fresh_runs = sweep()
+        assert sum(len(times) - 1 for times, _, _ in kept_runs) == 111_100
+        assert (kept, fresh) == (124_106, 235_202)
+        assert fresh - kept == 111_100 - len(taus)
+        for (_, u_k, chi_k), (_, u_f, chi_f) in zip(kept_runs, fresh_runs):
+            assert _bits(u_k) == _bits(u_f) and _bits(chi_k) == _bits(chi_f)
 
     @pytest.mark.parametrize(
         "env_args", [(1.0, 0.1, -5.0), (1.0, 0.01, -5.0), (0.5, 0.75, -5.0, "two-condition")]

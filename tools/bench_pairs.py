@@ -14,7 +14,8 @@ runs first, so that a slow spell of a shared machine falls on both sides.
 Both copies run under the interpreter that runs this script.
 
 Each output file holds one side: provenance (nproc, CPU, Python and numpy
-versions, both revisions and a digest of the ``src/`` files measured) and,
+versions, both revisions, a digest of the ``src/`` files measured and any
+``MALLOC_*`` environment variables, which move ``peak_rss_mb``) and,
 per workload and for every end-to-end metric that ``BENCHMARK.json``
 names, the samples in pair order, their min, median and quartiles, and the
 number of pairs this side won (a tie counts for neither side).  A run that
@@ -101,6 +102,11 @@ def cpu_model():
     return platform.processor() or None
 
 
+def malloc_environment(environ):
+    """The ``MALLOC_*`` variables of ``environ``: glibc malloc tunables both sides run under."""
+    return {name: value for name, value in sorted(environ.items()) if name.startswith("MALLOC_")}
+
+
 def summarize(samples, wins, unit, better):
     q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {
@@ -185,6 +191,7 @@ def main(argv=None):
         "cpu_model": cpu_model(),
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
+        "malloc_env": malloc_environment(os.environ),
         "parent_sha": parent_sha,
         "change_sha": head_sha,
         "change_uncommitted": dirty,
