@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -78,7 +79,8 @@ def initial_state(cfg, closure, material, x, strict_init=False):
 @dataclass
 class PdeRun:
     """States and per-step reports of a completed simulation, with the
-    source array and the boundary pair ``advance`` sampled for each step.
+    source and the boundary pair ``advance`` sampled for each step; each
+    source is the read-only view over the cell centers that ``advance`` used.
     """
 
     cfg: RunConfig
@@ -111,7 +113,7 @@ def simulate_pde(cfg, opts, strict_init=False):
     def f_fn(t):
         sources.append(np.broadcast_to(
             np.asarray(eval_expression(cfg.source, x=x, t=t), dtype=float), x.shape
-        ).copy())
+        ))
         return sources[-1]
 
     state = TimeState(0.0, u0, chi0)
@@ -236,9 +238,10 @@ _default_coupled_forcing.vectorized = True
 
 
 def _default_drive(t):
+    # plain floats: drive_play samples the drive once per step
     h = 8.0 if t < 4.0 else 4.0
     g = -2.0 if t < 4.0 else t / 2.0 - 8.0
-    return h * np.cos(np.pi * t / 4.0) + g
+    return h * math.cos(math.pi * t / 4.0) + g
 
 
 def _time_expr_fn(expr, default):
@@ -437,11 +440,11 @@ def _write_csv(path, header, rows):
     """Write ``header`` and ``rows`` as CSV lines ending in CRLF.
 
     ``rows`` is a sequence of row tuples or a 2-D array.  A row is
-    formatted with one %-format string, built once per distinct tuple of
-    cell types; every cell of an array has the array's type, so a block of
-    its rows is formatted in one operation.  Text cells are written
-    unquoted, so they must not hold a comma, a quote or a line break; the
-    program writes only column names and empty cells.
+    formatted with one %-format string built from its cell types; every
+    cell of an array has the array's type, so a block of its rows is
+    formatted in one operation.  Text cells are written unquoted, so they
+    must not hold a comma, a quote or a line break; the program writes only
+    column names and empty cells.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
@@ -451,14 +454,9 @@ def _write_csv(path, header, rows):
                 block = rows[i:i + _CSV_BLOCK_ROWS]
                 handle.write((fmt * len(block)) % tuple(block.ravel().tolist()))
             return
-        formats = {}
         for row in rows:
             row = tuple(row)
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = _line_format(kinds)
-            handle.write(fmt % row)
+            handle.write(_line_format(map(type, row)) % row)
 
 
 def _positive(kind):

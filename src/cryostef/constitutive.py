@@ -138,7 +138,6 @@ class HysteresisEnvelope:
     a: float
     C: float
     D: float
-    variant: str
 
     def lower(self, theta):
         return equilibrium_fraction(theta, self.b)
@@ -190,6 +189,4 @@ def calibrate_envelope(b, b_bar, theta0, variant=THREE_CONDITION):
     else:
         raise ValueError(f"unknown envelope variant {variant!r}")
     # plain floats, so the scalar steppers' arithmetic on them stays off numpy scalars
-    return HysteresisEnvelope(
-        b=b, b_bar=b_bar, theta0=theta0, a=float(a), C=float(C), D=float(D), variant=variant
-    )
+    return HysteresisEnvelope(b=b, b_bar=b_bar, theta0=theta0, a=float(a), C=float(C), D=float(D))

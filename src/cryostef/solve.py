@@ -202,7 +202,7 @@ def fixed_point_monolithic(problem, opts):
     asm = problem.assemble(u)
     for sweep in range(1, opts.max_outer + 1):
         w = problem.rhs - problem.closure_fraction(u) + tau * asm.bc_rhs
-        tau_diag, tau_off = problem.scaled_matrix(asm)
+        tau_diag, tau_off = tau * asm.diag, tau * asm.off
         u_new, rep = newton_frozen_a(
             lambda v: problem.laws(v).capacity_energy(m) + tau * asm.matvec(v) - w,
             lambda v: (problem.laws(v).capacity_slope(m) + tau_diag, tau_off),

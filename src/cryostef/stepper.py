@@ -14,7 +14,6 @@ C(U) is kept fully implicit; its slope only enters the Newton Jacobian.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ EQ = "eq"
 NEQ = "neq"
 HYST = "hyst"
 
-_PACKAGE_DIR = os.path.dirname(__file__)
+_PACKAGE = __name__.partition(".")[0]
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,9 @@ class StepProblem:
     at any iterate, which is what the matrix-lagging outer loop does.
 
     The pointwise laws and the stored energy are evaluated once per
-    iterate, and the matrix is scaled by tau once per assembly: the last
-    evaluation is kept with the object it was made at and reused while the
-    same object comes back.  Iterates are therefore never modified in place.
+    iterate: the last evaluation is kept with the object it was made at and
+    reused while the same object comes back.  Iterates are therefore never
+    modified in place.  The Jacobian scales the matrix by tau on each call.
     """
 
     def __init__(self, prev, closure, tau, f_n, material, assembler):
@@ -145,7 +144,7 @@ class StepProblem:
         self._update, self._slope = _closure_laws(closure, prev.upsilon, self.beta, tau)
         self.initial_guess = np.array(prev.u, dtype=float, copy=True)
         # holding each key keeps its id from being reused by another object
-        self._laws_at = self._energy_at = self._scaled_at = None
+        self._laws_at = self._energy_at = None
         # the laws at the previous state also serve the first assembly and residual
         self.rhs = (
             tau * np.asarray(f_n, dtype=float)
@@ -170,25 +169,17 @@ class StepProblem:
             self._energy_at = u
         return self._energy
 
-    def scaled_matrix(self, asm):
-        """``(tau*diag, tau*off)`` of an assembly, once per assembly object."""
-        if asm is not self._scaled_at:
-            self._scaled = (self.tau * asm.diag, self.tau * asm.off)
-            self._scaled_at = asm
-        return self._scaled
-
     def residual(self, u, asm):
         return self.energy(u) + self.tau * (asm.matvec(u) - asm.bc_rhs) - self.rhs
 
     def jacobian(self, u, asm):
         laws = self.laws(u)
-        tau_diag, tau_off = self.scaled_matrix(asm)
         diag = (
             laws.capacity_slope(self.material)
             + self._slope(laws.fraction, laws.fraction_slope())
-            + tau_diag
+            + self.tau * asm.diag
         )
-        return diag, tau_off
+        return diag, self.tau * asm.off
 
 
 def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic"):
@@ -268,9 +259,10 @@ def validate_initial_fraction(closure, material, u0, chi0, strict=False):
 
 def _stacklevel_outside_package():
     # the stacklevel, for the function that calls this one, of the first
-    # frame outside this package: the line of the caller's own code
+    # frame outside this package's modules: the line of the caller's own
+    # code, which under ``python -m cryostef.cli`` is cli.py run as __main__
     level, frame = 1, sys._getframe(1)
-    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
         level, frame = level + 1, frame.f_back
     return level
 

@@ -152,6 +152,16 @@ def coupled_forcing(t):
     return h * float(np.cos(np.pi * t)) + g
 
 
+def driven_schedule(t):
+    """The built-in ``ode-driven`` drive at one time, through numpy's scalar cosine.
+
+    The production drive must give these bits at every step time ``n*tau``.
+    """
+    h = 8.0 if t < 4.0 else 4.0
+    g = -2.0 if t < 4.0 else t / 2.0 - 8.0
+    return h * float(np.cos(np.pi * t / 4.0)) + g
+
+
 def _scalar_fraction(u, b):
     if u >= 0.0:
         return 1.0

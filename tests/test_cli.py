@@ -1,17 +1,20 @@
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coupled_forcing
+from oracles import coupled_forcing, driven_schedule
 
 from cryostef import cli, config, play
 from cryostef.cli import main
@@ -329,6 +332,27 @@ class TestOdeDrivenMode:
             assert f_u - 1e-12 <= chi <= f_u + beta + 1e-12
             u_prev = u
 
+    @pytest.mark.parametrize("tau", [3.75e-2, 3.75e-3])
+    def test_default_drive_has_the_bits_of_the_numpy_cosine(self, monkeypatch, tmp_path, tau):
+        # the default step and a tenth of it, over the default horizon
+        seen = []
+        drive = cli._default_drive
+
+        def recording(t):
+            seen.append((t, drive(t)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "_default_drive", recording)
+        cfg = replace(load_config(None, "ode-driven"), tau=tau)
+        cli.run_ode_driven(cfg, SolverOptions(), tmp_path)
+        n_steps = int(round(cfg.T / tau))
+        # u0 for the initial fraction, then every step time from 0 on
+        assert [t for t, _ in seen] == [0.0] + [n * tau for n in range(n_steps + 1)]
+        assert all(type(value) is float for _, value in seen)
+        expected = [driven_schedule(t) for t, _ in seen]
+        got = [value for _, value in seen]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+
 
 class TestOdeCoupledMode:
     def test_stationary_run(self, tmp_path):
@@ -575,6 +599,22 @@ class TestPdeMode:
         assert main(["pde", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"key '{key}' must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_run_keeps_no_copy_of_each_source(self):
+        # a constant source is one float broadcast over the cells; the run
+        # keeps its states, reports and the views advance used, and a private
+        # copy of each step's source would add half the states' bytes again
+        cfg = load_config(None, "pde", overrides={"M": 400, "T": 0.5})
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run = cli.simulate_pde(cfg, SolverOptions())
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(run.reports) == 50
+        state_bytes = sum(state.u.nbytes + state.upsilon.nbytes for state in run.states)
+        assert held < 1.4 * state_bytes
 
     def test_malformed_source_exits_2_before_any_step(self, tmp_path):
         cfg = tmp_path / "pde.cfg"
@@ -921,6 +961,23 @@ class TestInitialFractionMessages:
         with pytest.warns(RuntimeWarning, match="clamped into") as record:
             calls[caller]()
         assert [w.filename for w in record] == [__file__]
+
+    def test_clamp_warning_under_python_m_names_the_cli_line(self, tmp_path):
+        # run as the program, cli.py is the caller's code: the frames above it are runpy's
+        cli_path = os.path.abspath(cli.__file__)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli_path))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "cryostef.cli", "ode-coupled",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert proc.returncode == 0
+        first = proc.stderr.splitlines()[0]
+        match = re.match(rf"{re.escape(cli_path)}:(\d+): RuntimeWarning: initial fraction ", first)
+        assert match, first
+        with open(cli_path, encoding="utf-8") as handle:
+            line = handle.readlines()[int(match.group(1)) - 1]
+        assert "validate_initial_fraction(" in line
 
 
 class TestCsvWriter:
