@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solve as solvers
-from .config import MODES, RunConfig, eval_expression, load_config
+from .config import MODES, RunConfig, eval_expression, load_config, whole_steps
 from .constitutive import ScaledMaterial, calibrate_envelope, equilibrium_fraction
 from .errors import ConfigError, CryostefError, InfeasibleState, NonConvergence
 from .grid import Grid1D, assemble
@@ -41,10 +41,6 @@ from .stepper import (
     advance,
     validate_initial_fraction,
 )
-
-
-def build_material(cfg):
-    return ScaledMaterial(b=cfg.b, c_u=cfg.c_u, c_f=cfg.c_f, k_u=cfg.k_u, k_f=cfg.k_f)
 
 
 def build_closure(cfg):
@@ -70,6 +66,12 @@ def initial_state(cfg, closure, material, x, strict_init=False):
     ).astype(float)
     chi_raw = initial_fraction(cfg, x, u0)
     return u0, validate_initial_fraction(closure, material, u0, chi_raw, strict=strict_init)
+
+
+def _blame_inputs(err, inputs):
+    # a step failed: a non-finite (key, t, value) input is the cause, not the solver
+    bad = [(key, t) for key, t, value in inputs if not np.all(np.isfinite(value))]
+    return ConfigError("key %r is not finite at t=%s" % bad[0]) if bad else err
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,7 @@ class PdeRun:
 
 def simulate_pde(cfg, opts, strict_init=False):
     """Run the time loop and keep every state and report in memory."""
-    material = build_material(cfg)
+    material = ScaledMaterial(b=cfg.b, c_u=cfg.c_u, c_f=cfg.c_f, k_u=cfg.k_u, k_f=cfg.k_f)
     closure = build_closure(cfg)
     grid = Grid1D(cfg.M)
     x = grid.centers
@@ -130,7 +132,8 @@ def simulate_pde(cfg, opts, strict_init=False):
             )
         except NonConvergence as err:
             err.step = n
-            raise
+            raise _blame_inputs(err, [("u_init", 0.0, u0), ("chi_init", 0.0, chi0),
+                                      ("source", err.t, sources[-1])])
         states.append(state)
         reports.append(report)
     return PdeRun(cfg, grid, material, closure, states, reports, sources, bcs)
@@ -174,15 +177,13 @@ def _cell_rows(states, x):
 def write_pde_outputs(run, out_dir):
     cfg = run.cfg
     x = run.grid.centers
-    os.makedirs(out_dir, exist_ok=True)
     n_steps = len(run.reports)
 
     snapshot_states = []
     for t_out in cfg.out_times:
         n = int(round(t_out / cfg.tau))
-        if n < 0 or n > n_steps or abs(n * cfg.tau - t_out) > 0.5 * cfg.tau + 1e-12:
-            continue
-        snapshot_states.append(run.states[n])
+        if 0 <= n <= n_steps:
+            snapshot_states.append(run.states[n])
     header = ("t", "x", "u", "chi")
     _write_csv(os.path.join(out_dir, "snapshots.csv"), header, _cell_rows(snapshot_states, x))
     _write_csv(os.path.join(out_dir, "phase.csv"), header, _cell_rows(run.states, x))
@@ -290,7 +291,10 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
 
     stepper = ScalarOdeStepper(closure, cfg.b, cfg.a_coef, tol=opts.tol, max_iter=opts.max_inner)
     n_steps = int(round(cfg.T / tau))
-    times = np.arange(n_steps + 1) * tau
+    # scaled in place: freeing a run-length temporary would raise malloc's
+    # mmap threshold and put u and chi on the heap, raising the peak memory
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= tau
     u = np.empty(n_steps + 1)
     chi = np.empty(n_steps + 1)
     u_n, chi_n = float(u0), float(chi0)
@@ -305,13 +309,13 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
     except NonConvergence as err:
         err.step = n
         err.t = times[n]
-        raise
+        inputs = [("u_init", 0.0, u0), ("chi_init", 0.0, chi0), ("forcing", err.t, f_n)]
+        raise _blame_inputs(err, inputs)
     return times, u, chi
 
 
 def run_ode_coupled(cfg, opts, out_dir, strict_init=False):
     times, u, chi = simulate_ode_coupled(cfg, opts, strict_init=strict_init)
-    os.makedirs(out_dir, exist_ok=True)
     rows = np.column_stack((times, u, chi))[1:]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), rows)
     return times, u, chi
@@ -323,7 +327,6 @@ def run_ode_driven(cfg, opts, out_dir, strict_init=False):
     # u0 comes from the drive, and drive_play makes the fraction admissible
     v_init = float(initial_fraction(cfg, 0.0, u_fn(0.0)))
     rows = drive_play(u_fn, env, cfg.tau, cfg.T, v_init, strict=strict_init)
-    os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), rows)
     return rows
 
@@ -340,10 +343,7 @@ def trajectory_errors(coarse, fine, tau_coarse, tau_fine):
     the Euclidean norm of the (u, chi) pair, accumulated with weight
     tau_coarse for the 1- and 2-norms.
     """
-    stride = tau_coarse / tau_fine
-    if abs(stride - round(stride)) > 1e-9 * max(stride, 1.0):
-        raise ConfigError(f"fine step {tau_fine} does not divide coarse step {tau_coarse}")
-    stride = int(round(stride))
+    stride = whole_steps(tau_coarse, tau_fine, "coarse step")
     u_c, chi_c = coarse
     u_f, chi_f = fine
     n_coarse = len(u_c) - 1
@@ -387,7 +387,6 @@ def convergence_study(cfg, opts, out_dir, strict_init=False):
         rows.append(row)
         prev_tau = tau
 
-    os.makedirs(out_dir, exist_ok=True)
     header = ("tau", "err_l1", "err_l2", "err_inf", "order_l1", "order_l2", "order_inf")
     _write_csv(
         os.path.join(out_dir, "orders.csv"),
@@ -409,7 +408,6 @@ def run_calibrate(cfg, out_dir):
     thetas = np.linspace(cfg.theta0 - 2.0, 2.0, 1000)
     lower = env.lower(thetas)
     upper = env.upper(thetas, lower)
-    os.makedirs(out_dir, exist_ok=True)
     rows = np.column_stack((thetas, lower, upper))
     _write_csv(os.path.join(out_dir, "envelope.csv"), ("theta", "F", "G"), rows)
     return env
@@ -444,8 +442,9 @@ def _write_csv(path, header, rows):
     cell of an array has the array's type, so a block of its rows is
     formatted in one operation.  Text cells are written unquoted, so they
     must not hold a comma, a quote or a line break; the program writes only
-    column names and empty cells.
+    column names and empty cells.  The file's directory is made if missing.
     """
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
         if isinstance(rows, np.ndarray):

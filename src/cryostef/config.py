@@ -66,24 +66,21 @@ class PiecewiseLinearSchedule:
 
 
 _PAIR_RE = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
+_SCHEDULE_RE = re.compile(rf"{_PAIR_RE.pattern}(\s*,\s*{_PAIR_RE.pattern})*")
 
 
 def parse_schedule(text):
+    """A bare number, or ``(t, v)`` pairs separated by single commas."""
     text = text.strip()
-    if "(" not in text:
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse schedule {text!r}") from exc
-        return PiecewiseLinearSchedule(((0.0, value),))
-    pairs = _PAIR_RE.findall(text)
-    if not pairs:
-        raise ConfigError(f"cannot parse schedule {text!r}")
     try:
-        points = tuple((float(t), float(v)) for t, v in pairs)
+        if "(" not in text:
+            return PiecewiseLinearSchedule(((0.0, float(text)),))
+        if _SCHEDULE_RE.fullmatch(text):
+            pairs = _PAIR_RE.findall(text)
+            return PiecewiseLinearSchedule(tuple((float(t), float(v)) for t, v in pairs))
     except ValueError as exc:
         raise ConfigError(f"cannot parse schedule {text!r}") from exc
-    return PiecewiseLinearSchedule(points)
+    raise ConfigError(f"cannot parse schedule {text!r}")
 
 
 def _parse_float_list(text):
@@ -205,12 +202,11 @@ def load_config(path, mode, overrides=None):
 
 def _parse_value(key, text):
     kind = _KINDS[key]
-    if kind is PiecewiseLinearSchedule:
-        return parse_schedule(text)
-    if kind is tuple:
-        return _parse_float_list(text)
+    parse = {PiecewiseLinearSchedule: parse_schedule, tuple: _parse_float_list}.get(kind, kind)
     try:
-        return kind(text)
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from exc
     except ValueError as exc:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"key {key!r}: expected {noun}, got {text!r}") from exc
@@ -230,16 +226,24 @@ def _validate(cfg):
         raise ConfigError(f"unknown envelope variant {cfg.envelope!r}")
     _validate_laws(cfg)
     if cfg.face_average not in ("harmonic", "arithmetic"):
-        raise ConfigError(f"unknown face averaging {cfg.face_average!r}")
+        raise ConfigError(f"key 'face_average': unknown face averaging {cfg.face_average!r}")
     if cfg.mode == "convergence":
         if not cfg.taus:
-            raise ConfigError("convergence mode needs a non-empty tau sweep")
+            raise ConfigError("key 'taus': convergence mode needs a non-empty tau sweep")
         for tau in cfg.taus:
-            ratio = tau / cfg.tau_fine
-            if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
-                raise ConfigError(
-                    f"fine step {cfg.tau_fine} does not divide sweep step {tau}"
-                )
+            whole_steps(tau, cfg.tau_fine, "sweep step")
+            whole_steps(cfg.T, tau, "horizon T")
+
+
+def whole_steps(span, tau, what):
+    """How many steps ``tau`` make up ``span``, to within 1e-9 relative.
+
+    A span that is not a whole number of steps is a config error naming ``what``.
+    """
+    steps = span / tau
+    if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        raise ConfigError(f"{what} {span} is not a whole number of steps {tau}")
+    return round(steps)
 
 
 def _validate_finite(cfg):

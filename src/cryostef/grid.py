@@ -21,16 +21,15 @@ ARITHMETIC = "arithmetic"
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered mesh over an interval of given length."""
+    """Uniform cell-centered mesh over the unit interval."""
 
     num_cells: int
-    length: float = 1.0
+    # a class constant, not a field: every domain is the unit interval
+    length = 1.0
 
     def __post_init__(self):
         if self.num_cells < 2:
             raise ValueError(f"need at least two cells, got {self.num_cells}")
-        if self.length <= 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
 
     @property
     def h(self):
@@ -63,17 +62,6 @@ class StiffnessAssembly:
         return y
 
 
-def face_transmissibilities(k, h, face_average=HARMONIC):
-    """Interior-face transmissibilities from cell conductivities."""
-    if face_average == HARMONIC:
-        k_face = 2.0 * k[:-1] * k[1:] / (k[:-1] + k[1:])
-    elif face_average == ARITHMETIC:
-        k_face = 0.5 * (k[:-1] + k[1:])
-    else:
-        raise ValueError(f"unknown face averaging {face_average!r}")
-    return k_face / (h * h)
-
-
 def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None):
     """Assemble the diffusion matrix at temperature state ``u``.
 
@@ -88,7 +76,13 @@ def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None
     h = grid.h
     if k is None:
         k = conductivity(u, material)
-    t_int = face_transmissibilities(k, h, face_average)
+    if face_average == HARMONIC:
+        k_face = 2.0 * k[:-1] * k[1:] / (k[:-1] + k[1:])
+    elif face_average == ARITHMETIC:
+        k_face = 0.5 * (k[:-1] + k[1:])
+    else:
+        raise ValueError(f"unknown face averaging {face_average!r}")
+    t_int = k_face / (h * h)
     t_left = 2.0 * k[0] / (h * h)
     t_right = 2.0 * k[-1] / (h * h)
 

@@ -10,11 +10,12 @@ pinned to one of the moving bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBounds
+from .errors import ConfigError, InvalidBounds
 from .stepper import Closure, validate_initial_fraction
 
 
@@ -54,6 +55,7 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     are evaluated once over the whole drive; only the clamp runs per step.
     ``v_init`` is made admissible at u(0) by the hysteretic initial-fraction
     rule: with ``strict`` off an infeasible start is clamped, with a warning.
+    A drive value or a ``v_init`` that is not finite is a config error.
     """
     if tau <= 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
@@ -61,7 +63,14 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {tau}")
 
-    u = np.array([float(u_schedule(n * tau)) for n in range(n_steps + 1)])
+    drive = [float(u_schedule(n * tau)) for n in range(n_steps + 1)]
+    for n, value in enumerate(drive):
+        if not math.isfinite(value):
+            raise ConfigError(f"key 'drive' is not finite at t={n * tau}")
+    if not math.isfinite(v_init):
+        raise ConfigError("key 'chi_init' is not finite at t=0.0")
+    u = np.array(drive)
+    del drive  # before the loop, so the run's peak holds only the array
     chi = float(validate_initial_fraction(Closure.hysteresis(env), None, u[0], v_init, strict))
     lower = env.lower(u[1:]).tolist()
     gap = env.gap(u[:-1]).tolist()

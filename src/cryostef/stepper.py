@@ -238,9 +238,7 @@ def validate_initial_fraction(closure, material, u0, chi0, strict=False):
         bounds = "envelope"
         env = closure.envelope
         lo = np.asarray(env.lower(u0), dtype=float)
-        # rounding can drop the upper curve below the lower one at the
-        # exact match points; repair so the clamp interval is never inverted
-        hi = np.maximum(np.asarray(env.upper(u0, lo), dtype=float), lo)
+        hi = lo + env.gap(u0)
     outside = (chi0 < lo - 1e-12) | (chi0 > hi + 1e-12)
     if np.any(outside):
         j = int(np.argmax(np.maximum(lo - chi0, chi0 - hi)))

@@ -19,6 +19,7 @@ from oracles import coupled_forcing, driven_schedule
 from cryostef import cli, config, play
 from cryostef.cli import main
 from cryostef.config import (
+    MODES,
     PiecewiseLinearSchedule,
     RunConfig,
     eval_expression,
@@ -74,6 +75,25 @@ class TestConfigParsing:
     def test_schedule_must_increase(self):
         with pytest.raises(ConfigError):
             parse_schedule("(0,1),(0,2)")
+
+    @pytest.mark.parametrize(
+        "text", ["(0,5),(1", "5, (1,5)", "(0,5),(1,5) garbage", "(0,5)(1,-5)", "(0,5),,(1,5)", "(0,5),"]
+    )
+    def test_schedule_text_outside_its_pairs_rejected(self, text):
+        with pytest.raises(ConfigError, match="cannot parse schedule"):
+            parse_schedule(text)
+
+    @pytest.mark.parametrize(
+        "text, points",
+        [
+            (" ( 0 , 5 ) ,( 1e0,-5 ) ", ((0.0, 5.0), (1.0, -5.0))),
+            # the form the benchmark writes its scaled boundary schedule in
+            ("(0.0,4.9875),(1.0,4.9875),(2.0,-4.9875),(3.0,4.9875)",
+             ((0.0, 4.9875), (1.0, 4.9875), (2.0, -4.9875), (3.0, 4.9875))),
+        ],
+    )
+    def test_schedule_pairs_separated_by_single_commas_load(self, text, points):
+        assert parse_schedule(text).breakpoints == points
 
     def test_reference_boundary_schedule_matches_piecewise_form(self):
         sched = PiecewiseLinearSchedule(((0.0, 5.0), (1.0, 5.0), (2.0, -5.0), (3.0, 5.0)))
@@ -250,6 +270,41 @@ class TestConfigParsing:
             with pytest.raises(ConfigError) as info:
                 load_config(path, "pde")
             assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "mode, text, code, named",
+        [
+            ("pde", "bc_left = (0,5),(1", 2, "key 'bc_left': cannot parse schedule"),
+            ("pde", "bc_right = (0,x)", 2, "key 'bc_right': cannot parse schedule"),
+            ("pde", "out_times = 0.5,soon", 2, "key 'out_times': cannot parse number list"),
+            ("bogus", "", 2, "unknown mode 'bogus'"),
+            ("pde", None, 2, "cannot read config"),
+            ("calibrate", "mode = calibrate", 0, None),
+            ("pde", "T = 0.001", 2, "horizon T=0.001 is shorter than one step"),
+            ("pde", "closure = ice", 2, "unknown closure 'ice'"),
+            ("ode-driven", "envelope = four-condition", 2, "unknown envelope variant"),
+            ("pde", "face_average = median", 2, "key 'face_average'"),
+            ("convergence", "taus =", 2, "key 'taus'"),
+        ],
+    )
+    def test_config_errors_exit_2_naming_the_key(self, tmp_path, capsys, mode, text, code, named):
+        path = tmp_path / "run.cfg"
+        if text is None:
+            path.mkdir()  # a directory cannot be read as a config file
+        else:
+            path.write_text(text + "\n")
+        if code:
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                load_config(path, mode)
+        if mode not in MODES:
+            return  # the command line offers only the known modes
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(path), "--out", str(out)]) == code
+        if code:
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert out.exists()
 
 
 class TestCalibrateMode:
@@ -478,6 +533,16 @@ class TestConvergenceMode:
         cfg.write_text("taus = 0.1\ntau_fine = 0.03\n")
         assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_horizon_not_a_whole_number_of_sweep_steps_exits_2(self, tmp_path, capsys):
+        # 0.5 is not a whole number of 0.3 steps: the coarse run would end
+        # at t = 0.6, past the fine run's last step
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text("T = 0.5\ntaus = 0.3\ntau_fine = 0.1\nchi_init = 0.85\n")
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "horizon T 0.5 is not a whole number of steps 0.3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPdeMode:
     def write_small_config(self, path, closure="eq", extra=""):
@@ -627,6 +692,35 @@ class TestPdeMode:
         self.write_small_config(cfg, closure="hyst", extra="chi_init = F(u0) + 0.1\n")
         code = main(["pde", "--config", str(cfg), "--out", str(tmp_path), "--strict-init"])
         assert code == 4
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "mode, text, message",
+        [
+            ("ode-driven", "T = 1\ntau = 0.25\ndrive = log(t - 0.5)", "key 'drive' is not finite at t=0.0"),
+            ("ode-driven", "T = 1\ntau = 0.25\ndrive = exp(1000*t)", "key 'drive' is not finite at t=0.75"),
+            ("ode-driven", "chi_init = log(u0 - 100)", "key 'chi_init' is not finite at t=0.0"),
+            ("pde", "u_init = log(x - 0.5)", "key 'u_init' is not finite at t=0.0"),
+            ("pde", "closure = neq\nchi_init = log(x - 2)", "key 'chi_init' is not finite at t=0.0"),
+            ("pde", "source = log(t - 0.015)", "key 'source' is not finite at t=0.01"),
+            ("ode-coupled", "u_init = 1e308 * 10", "key 'u_init' is not finite at t=0.0"),
+            ("ode-coupled", "chi_init = log(u0)", "key 'chi_init' is not finite at t=0.0"),
+            ("ode-coupled", "T = 1\nforcing = log(0.5 - t)", "key 'forcing' is not finite at t=0.5"),
+            # the sweep runs its largest step first, and at 0.1 every forcing is finite
+            ("convergence", "forcing = log(t - 0.05)", "key 'forcing' is not finite at t=0.01"),
+        ],
+    )
+    def test_exit_2_naming_the_key_and_time(self, tmp_path, capsys, mode, text, message):
+        cfg = tmp_path / "run.cfg"
+        small = "M = 10\nT = 0.1\n" if mode == "pde" else ""
+        cfg.write_text(small + text + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExpressionNamespace:

@@ -358,6 +358,23 @@ class TestInitialFraction:
         # the curves only match to rounding at theta0 itself
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
+    def test_hyst_start_interval_is_the_steppers_lower_plus_gap(self):
+        # the steps bound the fraction by F + gap; where the gap exceeds F,
+        # that sum can round away from the upper curve itself, and the start
+        # must be clamped to the same bound the first step enforces
+        env = calibrate_envelope(1.0, 2.0, -3.0, "two-condition")
+        u0 = np.linspace(env.theta0 - 1.0, 1.0, 4001)
+        lo = np.asarray(env.lower(u0))
+        hi = lo + env.gap(u0)
+        assert np.any(hi != env.upper(u0))
+        with pytest.warns(RuntimeWarning):
+            out = validate_initial_fraction(Closure.hysteresis(env), None, u0, 2.0)
+        assert _bits(out) == _bits(hi)
+        for theta, top in zip(u0[::400].tolist(), hi[::400].tolist()):
+            with pytest.warns(RuntimeWarning):
+                out = validate_initial_fraction(Closure.hysteresis(env), None, theta, 2.0)
+            assert _bits([out]) == _bits([top])
+
 
 class TestScalarOdeStepper:
     def test_matches_vector_machinery(self):
