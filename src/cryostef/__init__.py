@@ -12,7 +12,6 @@ from .errors import (
     ConfigError,
     CryostefError,
     DegenerateCalibration,
-    Divergence,
     InfeasibleState,
     InvalidBounds,
     NonConvergence,
@@ -31,7 +30,6 @@ __all__ = [
     "ConstraintInterval",
     "CryostefError",
     "DegenerateCalibration",
-    "Divergence",
     "Grid1D",
     "HysteresisEnvelope",
     "InfeasibleState",

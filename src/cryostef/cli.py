@@ -442,9 +442,11 @@ def _write_csv(path, header, rows):
     cell of an array has the array's type, so a block of its rows is
     formatted in one operation.  Text cells are written unquoted, so they
     must not hold a comma, a quote or a line break; the program writes only
-    column names and empty cells.  The file's directory is made if missing.
+    column names and empty cells.  The file's directory, if any, is made.
     """
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
         if isinstance(rows, np.ndarray):

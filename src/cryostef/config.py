@@ -84,8 +84,11 @@ def parse_schedule(text):
 
 
 def _parse_float_list(text):
+    """Empty text is the empty list; otherwise every comma-separated entry is a number."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}") from exc
 

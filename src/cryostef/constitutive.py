@@ -47,7 +47,7 @@ class PointwiseLaws:
     __slots__ = ("u", "b", "e", "fraction", "thawed")
 
     def __init__(self, u, b):
-        if b <= 0.0:
+        if not b > 0.0:
             raise ValueError(f"steepness must be positive, got {b}")
         u = np.asarray(u, dtype=float)
         self.u = u
@@ -164,9 +164,9 @@ def calibrate_envelope(b, b_bar, theta0, variant=THREE_CONDITION):
     the value 1 at zero.  The two-condition variant matches value and
     slope at ``theta0`` only (D is zero there).
     """
-    if b <= 0.0 or b_bar <= 0.0:
+    if not (b > 0.0 and b_bar > 0.0):
         raise ValueError("curve steepness must be positive")
-    if theta0 >= 0.0:
+    if not theta0 < 0.0:
         raise ValueError(f"match temperature must be negative, got {theta0}")
 
     eb = np.exp(b * theta0)

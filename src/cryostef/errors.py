@@ -32,9 +32,5 @@ class SingularJacobian(CryostefError):
     """Tridiagonal factorization broke down; the SPD assumptions failed."""
 
 
-class Divergence(CryostefError):
-    """Fixed-point iterates left the a-priori bound region."""
-
-
 class ConfigError(CryostefError):
     """Run configuration is malformed or inconsistent."""

@@ -57,7 +57,7 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     rule: with ``strict`` off an infeasible start is clamped, with a warning.
     A drive value or a ``v_init`` that is not finite is a config error.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
     n_steps = int(round(T / tau))
     if n_steps < 1:

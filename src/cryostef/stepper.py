@@ -53,7 +53,7 @@ class Closure:
 
     def __post_init__(self):
         if self.kind == NEQ:
-            if self.rate is None or self.rate <= 0.0:
+            if self.rate is None or not self.rate > 0.0:
                 raise ValueError(f"kinetic closure needs a positive rate, got {self.rate}")
         elif self.kind == HYST:
             if self.envelope is None:
@@ -190,7 +190,7 @@ def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average=
     hysteretic runs the envelope gap is computed from the previous
     temperatures before the solve.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
     t_new = prev.t + tau
     ud_left, ud_right = bc_fn(t_new)

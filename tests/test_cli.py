@@ -277,6 +277,10 @@ class TestConfigParsing:
             ("pde", "bc_left = (0,5),(1", 2, "key 'bc_left': cannot parse schedule"),
             ("pde", "bc_right = (0,x)", 2, "key 'bc_right': cannot parse schedule"),
             ("pde", "out_times = 0.5,soon", 2, "key 'out_times': cannot parse number list"),
+            ("pde", "out_times = ,", 2, "key 'out_times': cannot parse number list"),
+            ("pde", "out_times = ,0.5", 2, "key 'out_times': cannot parse number list"),
+            ("pde", "out_times = 0.5,", 2, "key 'out_times': cannot parse number list"),
+            ("convergence", "taus = 0.1,,0.01", 2, "key 'taus': cannot parse number list"),
             ("bogus", "", 2, "unknown mode 'bogus'"),
             ("pde", None, 2, "cannot read config"),
             ("calibrate", "mode = calibrate", 0, None),
@@ -325,6 +329,13 @@ class TestCalibrateMode:
         f_vals = np.array([float(r[1]) for r in rows])
         g_vals = np.array([float(r[2]) for r in rows])
         assert np.all(g_vals >= f_vals - 1e-12)
+
+    def test_empty_out_writes_into_the_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["calibrate", "--out", ""]) == 0
+        header, rows = read_csv(tmp_path / "envelope.csv")
+        assert header == ["theta", "F", "G"]
+        assert len(rows) == 1000
 
     def test_two_condition_case(self, tmp_path, capsys):
         cfg = tmp_path / "cal.cfg"
@@ -623,6 +634,21 @@ class TestPdeMode:
         for name in ("snapshots.csv", "phase.csv", "iterations.csv", "summary.csv"):
             with open(tmp_path / "a" / name, "rb") as fa, open(tmp_path / "b" / name, "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_fixed_point_converges_where_the_boundary_term_dominates(self, tmp_path):
+        # tau*bc_rhs carries the iterate norm far past (||rhs|| + sqrt(n))/c_min;
+        # the sweep still converges, to the default solver's state
+        cfg = tmp_path / "pde.cfg"
+        cfg.write_text("closure = neq\nM = 10\nu_init = 1\nbc_left = 1e3\nbc_right = 1e3\nT = 0.01\n")
+        states = {}
+        for solver in ("fixed-point", "newton-alag"):
+            out = tmp_path / solver
+            assert main(["pde", "--config", str(cfg), "--out", str(out), "--solver", solver]) == 0
+            _, rows = read_csv(out / "phase.csv")
+            states[solver] = np.array(rows, dtype=float)[:, 2:]  # u and chi
+        reference = states["newton-alag"]
+        gap = np.max(np.abs(states["fixed-point"] - reference))
+        assert gap <= 1e-12 * np.max(np.abs(reference[:, 0]))
 
     def test_nonconvergence_exits_3(self, tmp_path):
         cfg = tmp_path / "pde.cfg"

@@ -14,6 +14,7 @@ from cryostef import stepper as stepper_module
 from cryostef.config import load_config
 from cryostef.constitutive import (
     EXP_FLOOR,
+    PointwiseLaws,
     ScaledMaterial,
     calibrate_envelope,
     capacity_energy,
@@ -21,6 +22,7 @@ from cryostef.constitutive import (
 )
 from cryostef.errors import InfeasibleState, InvalidBounds, NonConvergence
 from cryostef.grid import Grid1D, StiffnessAssembly, assemble
+from cryostef.play import drive_play
 from cryostef.solve import SolverOptions, solve_step
 from cryostef.stepper import (
     Closure,
@@ -208,6 +210,38 @@ class TestStepJacobian:
 
         fp = float(fraction_derivative(u, material.b)[0])
         assert float(diag_eq[0] - diag[0]) == pytest.approx(fp, abs=1e-14)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SolverOptions(tol=NAN), "tolerance must be positive"),
+        (lambda: Closure.kinetic(NAN), "kinetic closure needs a positive rate"),
+        (lambda: calibrate_envelope(NAN, 0.01, -5.0), "curve steepness must be positive"),
+        (lambda: calibrate_envelope(1.0, NAN, -5.0), "curve steepness must be positive"),
+        (lambda: calibrate_envelope(1.0, 0.01, NAN), "match temperature must be negative"),
+        (lambda: PointwiseLaws(np.zeros(3), NAN), "steepness must be positive"),
+        (
+            lambda: advance(
+                TimeState(0.0, np.full(4, -1.0), np.ones(4)), NAN, Closure.equilibrium(),
+                ScaledMaterial(b=1.0, c_u=1.0, c_f=1.0, k_u=1.0, k_f=1.0), Grid1D(4),
+                lambda t: 0.0, lambda t: (-1.0, -1.0), SolverOptions(),
+            ),
+            "time step must be positive",
+        ),
+        (
+            lambda: drive_play(lambda t: -1.0, calibrate_envelope(1.0, 0.01, -5.0), NAN, 1.0, 0.5),
+            "time step must be positive",
+        ),
+    ],
+    ids=["tol", "rate", "b", "b_bar", "theta0", "laws", "advance", "drive_play"],
+)
+def test_positive_guards_reject_nan(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestAdvance:
