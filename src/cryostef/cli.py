@@ -164,14 +164,32 @@ def run_pde(cfg, opts, out_dir, strict_init=False):
     return run
 
 
-def _cell_rows(states, x):
-    # (t, x, u, chi) of every cell of every state, one row per cell
-    return np.column_stack((
-        np.repeat([state.t for state in states], len(x)),
-        np.tile(x, len(states)),
-        np.ravel([state.u for state in states]),
-        np.ravel([state.upsilon for state in states]),
-    ))
+class _CellRows:
+    """The (t, x, u, chi) row of every cell of each state, one row per cell.
+
+    Its length is the number of rows; ``text()`` formats them one state at
+    a time, so no copy of the states is made.  Each x is formatted once
+    into a line template and each t once per state, so only u and chi are
+    formatted per cell.
+    """
+
+    def __init__(self, states, x):
+        self.states = states
+        self.x = x.tolist()
+
+    def __len__(self):
+        return len(self.states) * len(self.x)
+
+    def text(self):
+        """The lines of each state in turn, one string per state."""
+        m = len(self.x)
+        template = "".join("%%s,%.17g,%%.17g,%%.17g\r\n" % x for x in self.x)
+        cells = [None] * (3 * m)
+        for state in self.states:
+            cells[0::3] = ("%.17g" % state.t,) * m
+            cells[1::3] = state.u.tolist()
+            cells[2::3] = state.upsilon.tolist()
+            yield template % tuple(cells)
 
 
 def write_pde_outputs(run, out_dir):
@@ -185,8 +203,8 @@ def write_pde_outputs(run, out_dir):
         if 0 <= n <= n_steps:
             snapshot_states.append(run.states[n])
     header = ("t", "x", "u", "chi")
-    _write_csv(os.path.join(out_dir, "snapshots.csv"), header, _cell_rows(snapshot_states, x))
-    _write_csv(os.path.join(out_dir, "phase.csv"), header, _cell_rows(run.states, x))
+    _write_csv(os.path.join(out_dir, "snapshots.csv"), header, _CellRows(snapshot_states, x))
+    _write_csv(os.path.join(out_dir, "phase.csv"), header, _CellRows(run.states, x))
 
     iter_rows = []
     for n, report in enumerate(run.reports, start=1):
@@ -437,18 +455,23 @@ def _line_format(kinds):
 def _write_csv(path, header, rows):
     """Write ``header`` and ``rows`` as CSV lines ending in CRLF.
 
-    ``rows`` is a sequence of row tuples or a 2-D array.  A row is
-    formatted with one %-format string built from its cell types; every
-    cell of an array has the array's type, so a block of its rows is
-    formatted in one operation.  Text cells are written unquoted, so they
-    must not hold a comma, a quote or a line break; the program writes only
-    column names and empty cells.  The file's directory, if any, is made.
+    ``rows`` is a sequence of row tuples, a 2-D array or ``_CellRows``,
+    which formats its own lines; ``len(rows)`` is the number of lines
+    below the header.  A row is formatted with one %-format string built
+    from its cell types; every cell of an array has the array's type, so a
+    block of its rows is formatted in one operation.  Text cells are
+    written unquoted, so they must not hold a comma, a quote or a line
+    break; the program writes only column names and empty cells.  The
+    file's directory, if any, is made.
     """
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
+        if isinstance(rows, _CellRows):
+            handle.writelines(rows.text())
+            return
         if isinstance(rows, np.ndarray):
             fmt = _line_format([rows.dtype.type] * rows.shape[1])
             for i in range(0, len(rows), _CSV_BLOCK_ROWS):

@@ -28,8 +28,9 @@ class Grid1D:
     length = 1.0
 
     def __post_init__(self):
-        if self.num_cells < 2:
-            raise ValueError(f"need at least two cells, got {self.num_cells}")
+        # a float count, NaN included, would pass ``< 2`` alone
+        if not isinstance(self.num_cells, (int, np.integer)) or self.num_cells < 2:
+            raise ValueError(f"need an integer count of at least two cells, got {self.num_cells}")
 
     @property
     def h(self):

@@ -25,7 +25,7 @@ class ConstraintInterval:
     hi: float
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # NaN bounds fail this too
             raise InvalidBounds(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
 
@@ -36,7 +36,7 @@ def resolvent(interval, s):
 
 def play_step(v_prev, alpha, beta):
     """Generalized-play update with bounds [alpha, beta]; independent of tau."""
-    if alpha > beta:
+    if not alpha <= beta:  # NaN bounds fail this too
         raise InvalidBounds(f"play bounds out of order: [{alpha}, {beta}]")
     # min(max(v_prev, alpha), beta) without the builtin calls, bit for bit
     v = alpha if alpha > v_prev else v_prev
@@ -59,6 +59,8 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     """
     if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T must be finite, got {T}")
     n_steps = int(round(T / tau))
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {tau}")

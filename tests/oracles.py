@@ -4,6 +4,8 @@ Everything here is deliberately naive: dense matrices, finite-difference
 Jacobians, bisection, a closure dispatched at every iterate.  Nothing imports the production solve module.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -150,6 +152,22 @@ def coupled_forcing(t):
     h = 16.0 if t < 1.0 else 4.0
     g = -15.0 if t < 1.0 else 4.0 * t - 30.0
     return h * float(np.cos(np.pi * t)) + g
+
+
+def cell_csv_bytes(states, x):
+    """The bytes of ``snapshots.csv`` or ``phase.csv`` holding ``states``.
+
+    ``csv.writer`` with its CRLF line ends: the header, then one
+    (t, x, u, chi) row per cell of each state in turn, every number
+    formatted on its own at 17 significant digits.
+    """
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(("t", "x", "u", "chi"))
+    for state in states:
+        for x_i, u_i, chi_i in zip(x, state.u, state.upsilon):
+            writer.writerow([f"{float(v):.17g}" for v in (state.t, x_i, u_i, chi_i)])
+    return out.getvalue().encode("utf-8")
 
 
 def driven_schedule(t):

@@ -96,6 +96,16 @@ class TestSideRecord:
         for record in self.records(runs).values():
             assert set(record["workloads"]["w"]["metrics"]) == {"sim_s"}
 
+    def test_write_s_is_summarized_as_ungated(self):
+        runs = {"w": pairs([
+            (result(sim_s=1.0, write_s=0.3), result(sim_s=0.9, write_s=0.2)),
+            (result(sim_s=1.0, write_s=0.3), result(sim_s=1.1, write_s=0.1)),
+        ])}
+        metrics = self.records(runs)["change"]["workloads"]["w"]["metrics"]
+        assert (metrics["write_s"]["samples"], metrics["write_s"]["pair_wins"]) == ([0.2, 0.1], 2)
+        assert metrics["write_s"]["gated"] is False
+        assert metrics["sim_s"]["gated"] is True
+
     def test_first_in_pair_follows_the_order_run(self):
         runs = {"w": pairs([(result(sim_s=1.0), result(sim_s=0.5))] * 2, first="change")}
         records = self.records(runs)
@@ -107,6 +117,26 @@ def test_run_that_crashes_counts_as_one_failed_operation(tmp_path, capsys):
     # no bench/run.py under tmp_path: the interpreter exits non-zero
     assert bench_pairs.run_bench(tmp_path, "ode-long", 1) == CRASH
     assert "run.py" in capsys.readouterr().err
+
+
+def test_ungated_metrics_come_from_the_full_record(tmp_path):
+    # a stand-in bench/run.py: write_s is in its record, not its last line
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, pathlib\n"
+        "out = pathlib.Path('.bench_results')\n"
+        "out.mkdir()\n"
+        "metrics = {'sim_s': {'value': 1.0, 'unit': 's', 'samples': 3},\n"
+        "           'write_s': {'value': 0.25, 'unit': 's', 'samples': 3}}\n"
+        "(out / 'w-seed0-trace0.json').write_text(json.dumps({'metrics': metrics}))\n"
+        "line = {'correct': True, 'attempted': 3, 'failed': 0,\n"
+        "        'metrics': {'sim_s': {'value': 1.0, 'unit': 's'}}}\n"
+        "print(json.dumps(line))\n",
+        encoding="utf-8",
+    )
+    got = bench_pairs.run_bench(tmp_path, "w", 1)
+    assert got["metrics"]["sim_s"] == {"value": 1.0, "unit": "s"}
+    assert got["metrics"]["write_s"]["value"] == 0.25
 
 
 @pytest.mark.parametrize("pairs_arg", ["1", "4"])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
@@ -12,9 +13,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import coupled_forcing, driven_schedule
+from oracles import cell_csv_bytes, coupled_forcing, driven_schedule
 
 from cryostef import cli, config, play
 from cryostef.cli import main
@@ -31,8 +32,8 @@ from cryostef.constitutive import calibrate_envelope, equilibrium_fraction
 from cryostef.errors import ConfigError, NonConvergence
 from cryostef.grid import Grid1D
 from cryostef.play import drive_play
-from cryostef.solve import SolverOptions
-from cryostef.stepper import Closure, ScalarOdeStepper, validate_initial_fraction
+from cryostef.solve import SolverOptions, StepReport
+from cryostef.stepper import Closure, ScalarOdeStepper, TimeState, validate_initial_fraction
 
 
 def read_csv(path):
@@ -1100,6 +1101,31 @@ class TestInitialFractionMessages:
         assert "validate_initial_fraction(" in line
 
 
+# the extremes of formatting at %.17g, signed zeros, the smallest subnormal
+# and a huge value, drawn among arbitrary floats
+CELL_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]), st.floats())
+
+
+@st.composite
+def cell_states(draw):
+    """2 to 6 states (1 to 5 steps) of 2 to 7 cells, and the indices of snapshot states."""
+    m = draw(st.integers(2, 7))
+    column = st.lists(CELL_VALUES, min_size=m, max_size=m).map(np.array)
+    states = [TimeState(draw(CELL_VALUES), draw(column), draw(column))
+              for _ in range(draw(st.integers(2, 6)))]
+    return states, draw(st.lists(st.integers(0, len(states) - 1), max_size=3))
+
+
+def _pde_run(states, snapshots):
+    # a PdeRun as write_pde_outputs reads it: states at tau = 0.1, one report
+    # per step, and the states at the ``snapshots`` indices as out_times
+    m = len(states[0].u)
+    cfg = RunConfig(mode="pde", M=m, tau=0.1, T=0.1 * (len(states) - 1),
+                    out_times=tuple(0.1 * n for n in snapshots))
+    reports = [StepReport(1, 2, [1e-13], True) for _ in states[1:]]
+    return cli.PdeRun(cfg, Grid1D(m), None, None, states, reports, [], [])
+
+
 class TestCsvWriter:
     def test_bytes_match_csv_writer_at_17_digits(self, tmp_path):
         # the former writer, csv.writer fed the old per-cell rule, is the oracle
@@ -1143,3 +1169,34 @@ class TestCsvWriter:
         for array in arrays:
             cli._write_csv(path, header[:3], array)
             assert path.read_bytes() == oracle(header[:3], array), array.dtype
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(cell_states())
+    @example(([TimeState(0.0, np.array([-0.0, 5e-324]), np.array([1e300, 0.0]))] * 2, []))
+    def test_cell_files_match_the_csv_writer_oracle(self, drawn):
+        states, snapshots = drawn
+        run = _pde_run(states, snapshots)
+        x = run.grid.centers
+        with tempfile.TemporaryDirectory() as out:
+            cli.write_pde_outputs(run, out)
+            with open(os.path.join(out, "snapshots.csv"), "rb") as handle:
+                assert handle.read() == cell_csv_bytes([states[n] for n in snapshots], x)
+            with open(os.path.join(out, "phase.csv"), "rb") as handle:
+                assert handle.read() == cell_csv_bytes(states, x)
+
+    def test_cell_files_are_written_one_state_at_a_time(self, tmp_path):
+        # the writer's peak does not grow with the number of states; a copy
+        # of every state's cells grows it by about 7 KB per state at M = 100
+        def peak(n_states):
+            u = np.linspace(-5.0, 5.0, 100)
+            states = [TimeState(0.1 * n, u, u / 5.0) for n in range(n_states)]
+            run = _pde_run(states, [0, n_states - 1])
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                cli.write_pde_outputs(run, tmp_path)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200) - peak(10) < 16 * 1024

@@ -25,6 +25,14 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(1)
 
+    @pytest.mark.parametrize("num_cells", [float("nan"), 2.5, 4.0])
+    def test_rejects_a_count_that_is_not_an_integer(self, num_cells):
+        with pytest.raises(ValueError, match=f"at least two cells, got {num_cells}$"):
+            Grid1D(num_cells)
+
+    def test_accepts_a_numpy_integer_count(self):
+        assert Grid1D(np.int64(3)).centers.shape == (3,)
+
 
 class TestAssemble:
     def test_hand_assembly_two_cells(self, unit_material):

@@ -38,6 +38,11 @@ class TestResolvent:
         with pytest.raises(InvalidBounds):
             ConstraintInterval(1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bounds_rejected(self, lo, hi):
+        with pytest.raises(InvalidBounds, match="interval bounds out of order"):
+            ConstraintInterval(lo, hi)
+
 
 class TestPlayStep:
     def test_interior_no_motion(self):
@@ -53,6 +58,11 @@ class TestPlayStep:
         with pytest.raises(InvalidBounds):
             play_step(0.5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bounds_rejected(self, alpha, beta):
+        with pytest.raises(InvalidBounds, match="play bounds out of order"):
+            play_step(0.5, alpha, beta)
+
     def test_zero_width_interval_allowed(self):
         assert play_step(0.7, 0.0, 0.0) == 0.0
 
@@ -66,12 +76,13 @@ class TestPlayStep:
             assert play_step(v, a, b) == float(resolvent(ConstraintInterval(a, b), v))
 
     def test_clamp_is_builtin_min_max_bit_for_bit(self):
-        # signed zeros, equal bounds, infinities and NaN: the same operand
-        # as min(max(v, alpha), beta), compared as bit patterns
+        # signed zeros, equal bounds, infinities and a NaN value: the same
+        # operand as min(max(v, alpha), beta), compared as bit patterns
+        # (NaN bounds are rejected, see test_nan_bounds_rejected)
         special = [-math.inf, -1.5, -0.0, 0.0, 0.25, 1.0, math.inf, math.nan]
         for alpha in special:
             for beta in special:
-                if alpha > beta:
+                if not alpha <= beta:
                     continue
                 for v in special:
                     got = play_step(v, alpha, beta)

@@ -236,8 +236,12 @@ NAN = float("nan")
             lambda: drive_play(lambda t: -1.0, calibrate_envelope(1.0, 0.01, -5.0), NAN, 1.0, 0.5),
             "time step must be positive",
         ),
+        (
+            lambda: drive_play(lambda t: -1.0, calibrate_envelope(1.0, 0.01, -5.0), 0.1, NAN, 0.5),
+            "horizon T must be finite, got nan",
+        ),
     ],
-    ids=["tol", "rate", "b", "b_bar", "theta0", "laws", "advance", "drive_play"],
+    ids=["tol", "rate", "b", "b_bar", "theta0", "laws", "advance", "drive_play", "drive_play_T"],
 )
 def test_positive_guards_reject_nan(build, message):
     with pytest.raises(ValueError, match=message):
