@@ -288,17 +288,20 @@ def _forcing_sampler(forcing):
     return lambda times: map(forcing, times.tolist())
 
 
-def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
-    """Integrate the scalar coupled system; arrays indexed by step number.
+def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
+    """Integrate the scalar coupled system; keep states 0, stride, 2*stride, ...
 
-    The loop carries the state and the forcing from step to step as plain
-    floats, so no Newton iterate pays for numpy scalar arithmetic; each
-    step's state is written into the preallocated arrays.  The forcing is
-    sampled a block of steps at a time (``_forcing_sampler``): the built-in
-    one with one array cosine per block, an expression step by step as the
-    block is consumed, so nothing but the three returned arrays grows with
-    the number of steps.  The stepper is handed back the state object it
-    returned, so it reuses that state's fraction.
+    Returns the times and the (u, chi) arrays of the kept states, indexed by
+    step number over ``stride``.  The loop carries the state and the forcing
+    from step to step as plain floats, so no Newton iterate pays for numpy
+    scalar arithmetic.  The forcing is sampled a block of steps at a time
+    (``_forcing_sampler``): the built-in one with one array cosine per block,
+    an expression step by step as the block is consumed.  Each block's
+    states are collected in lists and its kept ones copied into the
+    preallocated arrays once, so the loop does the same work at every
+    stride and nothing but the three returned arrays grows with the number
+    of steps.  The stepper is handed back the state object it returned, so
+    it reuses that state's fraction.
     """
     tau = cfg.tau if tau is None else tau
     closure = build_closure(cfg)
@@ -311,22 +314,29 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
     n_steps = int(round(cfg.T / tau))
     # scaled in place: freeing a run-length temporary would raise malloc's
     # mmap threshold and put u and chi on the heap, raising the peak memory
-    times = np.arange(n_steps + 1, dtype=float)
+    times = np.arange(0, n_steps + 1, stride, dtype=float)
     times *= tau
-    u = np.empty(n_steps + 1)
-    chi = np.empty(n_steps + 1)
+    u = np.empty(len(times))
+    chi = np.empty(len(times))
     u_n, chi_n = float(u0), float(chi0)
     u[0], chi[0] = u_n, chi_n
-    n = 0
     try:
         for start in range(1, n_steps + 1, _FORCING_BLOCK_STEPS):
-            block = times[start:start + _FORCING_BLOCK_STEPS]
-            for n, f_n in enumerate(sample(block), start):
+            block = np.arange(start, min(start + _FORCING_BLOCK_STEPS, n_steps + 1), dtype=float)
+            block *= tau
+            us, chis = [], []
+            for f_n in sample(block):
                 u_n, chi_n, _, _ = stepper.step(u_n, chi_n, tau, f_n)
-                u[n], chi[n] = u_n, chi_n
+                us.append(u_n)
+                chis.append(chi_n)
+            first = -start % stride  # the block's first kept step is start + first
+            u_kept, chi_kept = us[first::stride], chis[first::stride]
+            k = (start + first) // stride
+            u[k:k + len(u_kept)] = u_kept
+            chi[k:k + len(chi_kept)] = chi_kept
     except NonConvergence as err:
-        err.step = n
-        err.t = times[n]
+        n = start + len(us)
+        err.step, err.t = n, n * tau
         inputs = [("u_init", 0.0, u0), ("chi_init", 0.0, chi0), ("forcing", err.t, f_n)]
         raise _blame_inputs(err, inputs)
     return times, u, chi
@@ -334,8 +344,8 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False):
 
 def run_ode_coupled(cfg, opts, out_dir, strict_init=False):
     times, u, chi = simulate_ode_coupled(cfg, opts, strict_init=strict_init)
-    rows = np.column_stack((times, u, chi))[1:]
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), rows)
+    columns = _ColumnRows(times[1:], u[1:], chi[1:])
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), columns)
     return times, u, chi
 
 
@@ -345,7 +355,7 @@ def run_ode_driven(cfg, opts, out_dir, strict_init=False):
     # u0 comes from the drive, and drive_play makes the fraction admissible
     v_init = float(initial_fraction(cfg, 0.0, u_fn(0.0)))
     rows = drive_play(u_fn, env, cfg.tau, cfg.T, v_init, strict=strict_init)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), rows)
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), _ColumnRows(*rows.T))
     return rows
 
 
@@ -356,10 +366,11 @@ def run_ode_driven(cfg, opts, out_dir, strict_init=False):
 def trajectory_errors(coarse, fine, tau_coarse, tau_fine):
     """Weighted 1-, 2-, and max-norm distances between two runs.
 
-    Both runs are arrays (u, chi) indexed by their own step number; the
-    fine run is subsampled at the coarse times.  The pointwise distance is
-    the Euclidean norm of the (u, chi) pair, accumulated with weight
-    tau_coarse for the 1- and 2-norms.
+    Both runs are arrays (u, chi) indexed by their own state number, with
+    states ``tau_coarse`` and ``tau_fine`` apart; the fine run is subsampled
+    at the coarse times.  The pointwise distance is the Euclidean norm of
+    the (u, chi) pair, accumulated with weight tau_coarse for the 1- and
+    2-norms.
     """
     stride = whole_steps(tau_coarse, tau_fine, "coarse step")
     u_c, chi_c = coarse
@@ -377,15 +388,24 @@ def trajectory_errors(coarse, fine, tau_coarse, tau_fine):
 
 
 def convergence_study(cfg, opts, out_dir, strict_init=False):
-    """Sweep coarse step sizes against the fine reference run."""
+    """Sweep coarse step sizes against the fine reference run.
+
+    The fine run keeps every ``keep``-th state, ``keep`` the greatest common
+    divisor of the sweep's steps counted in fine steps: every state an error
+    reads, and no other.
+    """
     taus = tuple(sorted(cfg.taus, reverse=True))
     runs = {}
-    for tau in taus + (cfg.tau_fine,):
+    for tau in taus:
         _, u, chi = simulate_ode_coupled(cfg, opts, tau=tau, strict_init=strict_init)
         runs[tau] = u, chi
+    keep = math.gcd(*(whole_steps(tau, cfg.tau_fine, "sweep step") for tau in taus))
+    _, u, chi = simulate_ode_coupled(
+        cfg, opts, tau=cfg.tau_fine, strict_init=strict_init, stride=keep
+    )
 
-    fine = runs[cfg.tau_fine]
-    errors = {tau: trajectory_errors(runs[tau], fine, tau, cfg.tau_fine) for tau in taus}
+    # the kept fine states lie keep fine steps apart
+    errors = {tau: trajectory_errors(runs[tau], (u, chi), tau, keep * cfg.tau_fine) for tau in taus}
 
     rows = []
     prev_tau = None
@@ -426,16 +446,42 @@ def run_calibrate(cfg, out_dir):
     thetas = np.linspace(cfg.theta0 - 2.0, 2.0, 1000)
     lower = env.lower(thetas)
     upper = env.upper(thetas, lower)
-    rows = np.column_stack((thetas, lower, upper))
-    _write_csv(os.path.join(out_dir, "envelope.csv"), ("theta", "F", "G"), rows)
+    columns = _ColumnRows(thetas, lower, upper)
+    _write_csv(os.path.join(out_dir, "envelope.csv"), ("theta", "F", "G"), columns)
     return env
 
 
 # ---------------------------------------------------------------------------
 # CSV helpers and entry point
 
-# rows of an array are formatted and written this many at a time
-_CSV_BLOCK_ROWS = 4096
+# rows of float columns are formatted and written this many at a time
+_CSV_BLOCK_ROWS = 1024
+
+
+class _ColumnRows:
+    """The rows of equal-length float columns, each cell at ``%.17g``.
+
+    Its length is the number of rows; ``text()`` formats them a block of
+    ``_CSV_BLOCK_ROWS`` rows at a time, so only one block of the columns is
+    copied at once.
+    """
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def text(self):
+        """The lines of each block of rows in turn, one string per block."""
+        line = ",".join(["%.17g"] * len(self.columns)) + "\r\n"
+        for i in range(0, len(self), _CSV_BLOCK_ROWS):
+            n = min(_CSV_BLOCK_ROWS, len(self) - i)
+            block = [column[i:i + n] for column in self.columns]
+            # the rows side by side as an array, a list and a tuple of cells,
+            # none of them named: each is freed once the next is made, so
+            # the block's cells are held once while they are formatted
+            yield (line * n) % tuple(np.stack(block, axis=1).ravel().tolist())
 
 
 def _line_format(kinds):
@@ -455,28 +501,21 @@ def _line_format(kinds):
 def _write_csv(path, header, rows):
     """Write ``header`` and ``rows`` as CSV lines ending in CRLF.
 
-    ``rows`` is a sequence of row tuples, a 2-D array or ``_CellRows``,
-    which formats its own lines; ``len(rows)`` is the number of lines
-    below the header.  A row is formatted with one %-format string built
-    from its cell types; every cell of an array has the array's type, so a
-    block of its rows is formatted in one operation.  Text cells are
-    written unquoted, so they must not hold a comma, a quote or a line
-    break; the program writes only column names and empty cells.  The
-    file's directory, if any, is made.
+    ``rows`` is a sequence of row tuples, or ``_CellRows`` or
+    ``_ColumnRows``, which format their own lines; ``len(rows)`` is the
+    number of lines below the header.  A row tuple is formatted with one
+    %-format string built from its cell types.  Text cells are written
+    unquoted, so they must not hold a comma, a quote or a line break; the
+    program writes only column names and empty cells.  The file's
+    directory, if any, is made.
     """
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        if isinstance(rows, _CellRows):
+        if isinstance(rows, (_CellRows, _ColumnRows)):
             handle.writelines(rows.text())
-            return
-        if isinstance(rows, np.ndarray):
-            fmt = _line_format([rows.dtype.type] * rows.shape[1])
-            for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-                block = rows[i:i + _CSV_BLOCK_ROWS]
-                handle.write((fmt * len(block)) % tuple(block.ravel().tolist()))
             return
         for row in rows:
             row = tuple(row)

@@ -233,8 +233,20 @@ def _validate(cfg):
     if cfg.mode == "convergence":
         if not cfg.taus:
             raise ConfigError("key 'taus': convergence mode needs a non-empty tau sweep")
+        if not cfg.tau_fine > 0.0:
+            raise ConfigError(f"key 'tau_fine' must be positive, got {cfg.tau_fine!r}")
+        strides = set()
         for tau in cfg.taus:
-            whole_steps(tau, cfg.tau_fine, "sweep step")
+            if not tau > 0.0:
+                raise ConfigError(f"key 'taus': sweep step {tau!r} is not positive")
+            stride = whole_steps(tau, cfg.tau_fine, "sweep step")
+            if stride < 2:
+                raise ConfigError(
+                    f"key 'taus': sweep step {tau!r} is not coarser than tau_fine {cfg.tau_fine!r}"
+                )
+            if stride in strides:
+                raise ConfigError(f"key 'taus': sweep step {tau!r} is listed twice")
+            strides.add(stride)
             whole_steps(cfg.T, tau, "horizon T")
 
 

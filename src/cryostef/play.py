@@ -43,6 +43,10 @@ def play_step(v_prev, alpha, beta):
     return beta if beta < v else v
 
 
+# steps whose curves are evaluated and whose clamps are run together
+_BLOCK_STEPS = 1024
+
+
 def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     """Drive the hysteresis fraction with a prescribed temperature signal.
 
@@ -51,11 +55,13 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     previous temperature (the gap is lagged by one step).  Returns an array
     of rows ``(t, u, chi)`` for steps 1..N with N = round(T/tau).
 
-    The drive is sampled at every step time, one call each, and both curves
-    are evaluated once over the whole drive; only the clamp runs per step.
-    ``v_init`` is made admissible at u(0) by the hysteretic initial-fraction
-    rule: with ``strict`` off an infeasible start is clamped, with a warning.
-    A drive value or a ``v_init`` that is not finite is a config error.
+    The drive is sampled at every step time, one call each, before any step
+    runs.  The returned array is then filled a block of steps at a time:
+    both curves are evaluated once over the block's drive, and only the
+    clamp runs per step.  ``v_init`` is made admissible at u(0) by the
+    hysteretic initial-fraction rule: with ``strict`` off an infeasible
+    start is clamped, with a warning.  A drive value or a ``v_init`` that is
+    not finite is a config error.
     """
     if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
@@ -65,19 +71,22 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {tau}")
 
-    drive = [float(u_schedule(n * tau)) for n in range(n_steps + 1)]
-    for n, value in enumerate(drive):
-        if not math.isfinite(value):
-            raise ConfigError(f"key 'drive' is not finite at t={n * tau}")
+    u = np.fromiter((float(u_schedule(n * tau)) for n in range(n_steps + 1)), float, n_steps + 1)
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise ConfigError(f"key 'drive' is not finite at t={int(bad[0]) * tau}")
     if not math.isfinite(v_init):
         raise ConfigError("key 'chi_init' is not finite at t=0.0")
-    u = np.array(drive)
-    del drive  # before the loop, so the run's peak holds only the array
     chi = float(validate_initial_fraction(Closure.hysteresis(env), None, u[0], v_init, strict))
-    lower = env.lower(u[1:]).tolist()
-    gap = env.gap(u[:-1]).tolist()
-    chis = []
-    for f_u, beta in zip(lower, gap):
-        chi = f_u + play_step(chi - f_u, 0.0, beta)
-        chis.append(chi)
-    return np.column_stack((np.arange(1, n_steps + 1) * tau, u[1:], chis))
+    rows = np.empty((n_steps, 3))
+    rows[:, 1] = u[1:]
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n_steps)
+        rows[start:stop, 0] = np.arange(start + 1, stop + 1) * tau
+        chis = []
+        for f_u, beta in zip(env.lower(u[start + 1:stop + 1]).tolist(),
+                             env.gap(u[start:stop]).tolist()):
+            chi = f_u + play_step(chi - f_u, 0.0, beta)
+            chis.append(chi)
+        rows[start:stop, 2] = chis
+    return rows

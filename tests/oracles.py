@@ -170,6 +170,20 @@ def cell_csv_bytes(states, x):
     return out.getvalue().encode("utf-8")
 
 
+def rows_csv_bytes(header, rows):
+    """The bytes of a CSV file of float rows, such as ``trajectory.csv``.
+
+    ``csv.writer`` with its CRLF line ends: the header, then each row with
+    every number formatted on its own at 17 significant digits.
+    """
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{float(v):.17g}" for v in row])
+    return out.getvalue().encode("utf-8")
+
+
 def driven_schedule(t):
     """The built-in ``ode-driven`` drive at one time, through numpy's scalar cosine.
 

@@ -30,7 +30,10 @@ def result(**values):
 
 
 def pairs(parent_change, first="parent"):
-    return [{"first": first, "parent": p, "change": c} for p, c in parent_change]
+    # rotated through the layouts as main() does
+    layouts = bench_pairs.LAYOUTS
+    return [{"first": first, "layout": layouts[i % len(layouts)], "parent": p, "change": c}
+            for i, (p, c) in enumerate(parent_change)]
 
 
 class TestSummarize:
@@ -106,6 +109,22 @@ class TestSideRecord:
         assert metrics["write_s"]["gated"] is False
         assert metrics["sim_s"]["gated"] is True
 
+    def test_peak_rss_median_per_layout(self):
+        rss = [(38.0, 37.5), (38.3, 37.9), (38.1, 37.7), (38.2, 37.6), (38.5, 37.8)]
+        runs = {"w": pairs([(result(peak_rss_mb=p), result(peak_rss_mb=c)) for p, c in rss])}
+        records = self.records(runs)
+        change = records["change"]["workloads"]["w"]["peak_rss_mb_by_layout"]
+        assert change["pairs"] == {"l": 2, "ll": 2, "lll": 1}
+        assert change["medians"] == pytest.approx({"l": 37.55, "ll": 37.85, "lll": 37.7})
+        assert change["spread"] == pytest.approx(0.3)
+        parent = records["parent"]["workloads"]["w"]["peak_rss_mb_by_layout"]
+        assert parent["medians"] == pytest.approx({"l": 38.1, "ll": 38.4, "lll": 38.1})
+
+    def test_no_peak_rss_gives_no_layout_medians(self):
+        records = self.records({"w": pairs([(result(sim_s=1.0), CRASH)] * 2)})
+        layouts = records["change"]["workloads"]["w"]["peak_rss_mb_by_layout"]
+        assert layouts == {"pairs": {}, "medians": {}, "spread": None}
+
     def test_first_in_pair_follows_the_order_run(self):
         runs = {"w": pairs([(result(sim_s=1.0), result(sim_s=0.5))] * 2, first="change")}
         records = self.records(runs)
@@ -157,3 +176,9 @@ def test_malloc_variables_recorded():
         "MALLOC_ARENA_MAX": "2", "MALLOC_MMAP_THRESHOLD_": "131072"
     }
     assert bench_pairs.malloc_environment({"PATH": "/bin"}) == {}
+
+
+def test_layouts_differ_in_length_and_sides_do_not():
+    # each layout's directories sit at one path length on both sides
+    assert len({len(name) for name in bench_pairs.LAYOUTS}) == len(bench_pairs.LAYOUTS)
+    assert len({len(side) for side in bench_pairs.SIDES}) == 1

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cell_csv_bytes, coupled_forcing, driven_schedule
+from oracles import (
+    cell_csv_bytes,
+    coupled_forcing,
+    drive_play_per_step,
+    driven_schedule,
+    rows_csv_bytes,
+)
 
 from cryostef import cli, config, play
 from cryostef.cli import main
@@ -290,6 +296,12 @@ class TestConfigParsing:
             ("ode-driven", "envelope = four-condition", 2, "unknown envelope variant"),
             ("pde", "face_average = median", 2, "key 'face_average'"),
             ("convergence", "taus =", 2, "key 'taus'"),
+            ("convergence", "T = 1\ntau_fine = 0", 2, "key 'tau_fine' must be positive"),
+            ("convergence", "T = 1\ntau_fine = -1e-4", 2, "key 'tau_fine' must be positive"),
+            ("convergence", "T = 1\ntaus = 0.1,-0.01", 2, "key 'taus': sweep step -0.01 is not pos"),
+            ("convergence", "T = 1\ntaus = 0.1,0", 2, "key 'taus': sweep step 0.0 is not positive"),
+            ("convergence", "T = 1\ntaus = 0.1,1e-4", 2, "key 'taus': sweep step 0.0001 is not coarser"),
+            ("convergence", "T = 1\ntaus = 0.1,0.01,0.1", 2, "key 'taus': sweep step 0.1 is listed twice"),
         ],
     )
     def test_config_errors_exit_2_naming_the_key(self, tmp_path, capsys, mode, text, code, named):
@@ -554,6 +566,56 @@ class TestConvergenceMode:
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
         assert "horizon T 0.5 is not a whole number of steps 0.3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_memory_does_not_grow_with_the_fine_step(self, tmp_path):
+        # the fine run keeps only the states the errors read, one per 0.01;
+        # keeping every fine state grows the peak by about 2 MB from 1e4 to
+        # 1e5 fine steps
+        def peak(tau_fine):
+            cfg = load_config(None, "convergence",
+                              overrides={"T": 1.0, "taus": (0.1, 0.01), "tau_fine": tau_fine})
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    cli.convergence_study(cfg, SolverOptions(), tmp_path)
+                    return tracemalloc.get_traced_memory()[1] - start
+                finally:
+                    tracemalloc.stop()
+
+        assert abs(peak(1e-5) - peak(1e-4)) < 64 * 1024
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        tau_fine=st.sampled_from([0.01, 0.005, 0.002]),
+        strides=st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True),
+        repeats=st.integers(1, 3),
+        stride=st.integers(1, 15),
+    )
+    @example(tau_fine=0.002, strides=[6, 4], repeats=1, stride=2)
+    def test_kept_fine_states_are_the_full_runs(self, tau_fine, strides, repeats, stride):
+        # sweeps whose steps are whole numbers of fine steps, nested or not
+        n_fine = math.lcm(*strides) * repeats
+        taus = tuple(k * tau_fine for k in strides)
+        cfg = load_config(None, "convergence", overrides={
+            "T": n_fine * tau_fine, "tau": tau_fine, "taus": taus, "tau_fine": tau_fine,
+        })
+        opts = SolverOptions()
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = cli.convergence_study(cfg, opts, out)
+            full = cli.simulate_ode_coupled(cfg, opts, tau=tau_fine)
+            kept = cli.simulate_ode_coupled(cfg, opts, tau=tau_fine, stride=stride)
+            for row in rows:
+                _, u, chi = cli.simulate_ode_coupled(cfg, opts, tau=row["tau"])
+                err = cli.trajectory_errors((u, chi), full[1:], row["tau"], tau_fine)
+                assert (row["err_l1"], row["err_l2"], row["err_inf"]) == (
+                    err["l1"], err["l2"], err["inf"]
+                )
+        assert len(full[0]) == n_fine + 1
+        for every, some in zip(full, kept):
+            assert np.array_equal(every[::stride].view(np.int64), some.view(np.int64))
 
 
 class TestPdeMode:
@@ -1158,17 +1220,14 @@ class TestCsvWriter:
         assert path.read_bytes() == oracle(header, rows)
         assert path.read_bytes().endswith(b"123456789\r\n")
 
-        # array rows, written in blocks; more rows than one block holds
+        # float columns, written in blocks: none, one, and more rows than one block holds
         values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1, -2.5e-7])
-        arrays = [
-            np.random.default_rng(3).choice(values, size=(2 * cli._CSV_BLOCK_ROWS + 5, 3)),
-            np.arange(-6, 6, dtype=np.int64).reshape(4, 3),
-            np.array([[True, False, True]]),
-            np.empty((0, 3)),
-        ]
-        for array in arrays:
-            cli._write_csv(path, header[:3], array)
-            assert path.read_bytes() == oracle(header[:3], array), array.dtype
+        for n_rows in (0, 1, 2 * cli._CSV_BLOCK_ROWS + 5):
+            columns = np.random.default_rng(3).choice(values, size=(3, n_rows))
+            rows = cli._ColumnRows(*columns)
+            assert len(rows) == n_rows
+            cli._write_csv(path, header[:3], rows)
+            assert path.read_bytes() == oracle(header[:3], columns.T), n_rows
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(cell_states())
@@ -1200,3 +1259,42 @@ class TestCsvWriter:
                 tracemalloc.stop()
 
         assert peak(200) - peak(10) < 16 * 1024
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_trajectory_files_match_the_csv_writer_oracle(self, tmp_path, offset):
+        # one row, and one write block of rows less one, exactly and plus one
+        n = 1 if offset is None else cli._CSV_BLOCK_ROWS + offset
+        header = ("t", "u", "chi")
+        coupled = load_config(None, "ode-coupled", overrides={"tau": 1e-3, "T": n * 1e-3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            times, u, chi = cli.run_ode_coupled(coupled, SolverOptions(), tmp_path / "coupled")
+        assert len(times) == n + 1
+        written = (tmp_path / "coupled" / "trajectory.csv").read_bytes()
+        assert written == rows_csv_bytes(header, zip(times[1:], u[1:], chi[1:]))
+
+        driven = load_config(None, "ode-driven", overrides={"tau": 3.75e-3, "T": n * 3.75e-3})
+        rows = cli.run_ode_driven(driven, SolverOptions(), tmp_path / "driven")
+        env = calibrate_envelope(driven.b, driven.b_bar, driven.theta0, driven.envelope)
+        v_init = float(equilibrium_fraction(driven_schedule(0.0), driven.b))
+        expected = drive_play_per_step(driven_schedule, env, driven.tau, driven.T, v_init)
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+        written = (tmp_path / "driven" / "trajectory.csv").read_bytes()
+        assert written == rows_csv_bytes(header, expected)
+
+    def test_trajectory_is_written_a_block_of_rows_at_a_time(self, monkeypatch, tmp_path):
+        # the coupled writer's peak does not grow with the trajectory's
+        # length; a copy of the rows grows it by 24 bytes a row, 432 KB here
+        def peak(n_rows):
+            times = np.arange(n_rows + 1) * 1e-3
+            run = (times, np.cos(times), np.sin(times))
+            monkeypatch.setattr(cli, "simulate_ode_coupled", lambda *args, **kwargs: run)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                cli.run_ode_coupled(None, None, tmp_path)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20 * cli._CSV_BLOCK_ROWS) - peak(2 * cli._CSV_BLOCK_ROWS) < 64 * 1024

@@ -10,6 +10,7 @@ from oracles import drive_play_per_step
 
 from cryostef.constitutive import EXP_FLOOR, calibrate_envelope
 from cryostef.errors import InfeasibleState, InvalidBounds
+from cryostef import play
 from cryostef.play import ConstraintInterval, drive_play, play_step, resolvent
 
 
@@ -228,3 +229,14 @@ class TestWholeDrive:
             return values[int(round(t / tau))]
 
         assert_matches_per_step_loop(schedule, env, tau, (len(values) - 1) * tau, v_init)
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1, 1025])
+    def test_block_edges_match_per_step_loop(self, envelope_ii, offset):
+        # one step, and one block of steps less one, exactly, plus one and
+        # plus a further block and one: the clamp runs on across each block
+        n_steps = 1 if offset is None else play._BLOCK_STEPS + offset
+
+        def schedule(t):
+            return 2.0 - 6.0 * math.cos(0.9 * t)
+
+        assert_matches_per_step_loop(schedule, envelope_ii, 0.01, n_steps * 0.01, 0.3)

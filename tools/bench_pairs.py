@@ -4,14 +4,18 @@
         --workload ode-sweep ode-long pde-reference \\
         --out-parent BENCH_0.json --out-change BENCH_1.json
 
-The committed files of ``--parent`` are extracted with ``git archive``
-into one new directory, and the working tree's files (tracked or not
-ignored, as they are on disk) are copied into another, so that neither
-side runs among the other's build and benchmark leftovers.  Then, for
-each pair and each workload, ``bench/run.py --workload W`` runs once in
-each copy for ``BENCHMARK.json``'s ``run_seconds``, alternating which side
-runs first, so that a slow spell of a shared machine falls on both sides.
-Both copies run under the interpreter that runs this script.
+The committed files of ``--parent`` are extracted with ``git archive``,
+and the working tree's files (tracked or not ignored, as they are on
+disk) are copied, each into new directories of their own, so that neither
+side runs among the other's build and benchmark leftovers.  Each side is
+copied into three layouts: directories whose names differ in length, the
+same three names on both sides, because the length of the path a run
+starts from moves its ``peak_rss_mb``.  Then, for each pair and each
+workload, ``bench/run.py --workload W`` runs once in each side's copy for
+``BENCHMARK.json``'s ``run_seconds``, alternating which side runs first,
+so that a slow spell of a shared machine falls on both sides, and
+rotating the pairs through the layouts.  Both copies run under the
+interpreter that runs this script.
 
 Each output file holds one side: provenance (nproc, CPU, Python and numpy
 versions, both revisions, a digest of the ``src/`` files measured and any
@@ -23,7 +27,10 @@ says whether ``BENCHMARK.json`` gates it: ``write_s``, the CSV writing time
 that ``bench/run.py`` reports in its full record but does not gate, is
 summarized too, as ungated.  A run that crashes counts as one attempted
 and one failed operation and gives no samples, so each metric records how
-many pairs its statistics are over.
+many pairs its statistics are over.  Each workload also records the
+``peak_rss_mb`` median of each layout and the spread of those medians: a
+difference between the sides inside that spread is the layout's, not the
+change's.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # end-to-end metrics that bench/run.py reports but BENCHMARK.json does not gate
 UNGATED = ({"name": "write_s", "unit": "s", "better": "lower"},)
+# directory names of the layouts each side is copied into, one per length
+LAYOUTS = ("l", "ll", "lll")
 
 
 def git(*args):
@@ -163,8 +172,24 @@ def side_record(side, runs, spec, provenance):
             "failed": sum(p[side]["failed"] for p in pairs),
             "first_in_pair": [p["first"] == side for p in pairs],
             "metrics": metrics,
+            "peak_rss_mb_by_layout": layout_medians(side, pairs),
         }
     return {"side": side, "provenance": provenance, "workloads": workloads}
+
+
+def layout_medians(side, pairs):
+    """``side``'s ``peak_rss_mb`` median in each layout, and the spread of those medians."""
+    samples = {}
+    for p in pairs:
+        value = p[side]["metrics"].get("peak_rss_mb")
+        if value is not None:
+            samples.setdefault(p["layout"], []).append(value["value"])
+    medians = {layout: statistics.median(values) for layout, values in samples.items()}
+    return {
+        "pairs": {layout: len(values) for layout, values in samples.items()},
+        "medians": medians,
+        "spread": max(medians.values()) - min(medians.values()) if medians else None,
+    }
 
 
 def main(argv=None):
@@ -186,20 +211,22 @@ def main(argv=None):
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {side: Path(tmp) / side for side in SIDES}
-        extract(parent_sha, roots["parent"])
-        copy_worktree(roots["change"])
+        roots = {(side, layout): Path(tmp) / layout / side for side in SIDES for layout in LAYOUTS}
+        for layout in LAYOUTS:
+            extract(parent_sha, roots["parent", layout])
+            copy_worktree(roots["change", layout])
         runs = {w: [] for w in args.workload}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
+            layout = LAYOUTS[i % len(LAYOUTS)]
             for workload in args.workload:
-                pair = {"first": order[0]}
+                pair = {"first": order[0], "layout": layout}
                 for side in order:
-                    pair[side] = run_bench(roots[side], workload, seconds)
+                    pair[side] = run_bench(roots[side, layout], workload, seconds)
                 runs[workload].append(pair)
                 sim = {s: pair[s]["metrics"].get("sim_s", {}).get("value") for s in SIDES}
-                print(f"pair {i + 1}/{args.pairs} {workload}: sim_s {sim}", flush=True)
-        digests = {side: src_digest(root) for side, root in roots.items()}
+                print(f"pair {i + 1}/{args.pairs} {workload} in {layout}: sim_s {sim}", flush=True)
+        digests = {side: src_digest(roots[side, LAYOUTS[0]]) for side in SIDES}
 
     common = {
         "command": [Path(sys.executable).name, *sys.argv],
@@ -215,6 +242,7 @@ def main(argv=None):
         "change_sha": head_sha,
         "change_uncommitted": dirty,
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+        "layouts": list(LAYOUTS),
     }
     for side, out in (("parent", args.out_parent), ("change", args.out_change)):
         provenance = dict(common, src_digest=digests[side])
