@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solve as solvers
-from .config import MODES, RunConfig, eval_expression, load_config, whole_steps
+from .config import (
+    MODES,
+    RunConfig,
+    eval_expression,
+    expression_function,
+    load_config,
+    whole_steps,
+)
 from .constitutive import ScaledMaterial, calibrate_envelope, equilibrium_fraction
 from .errors import ConfigError, CryostefError, InfeasibleState, NonConvergence
 from .grid import Grid1D, assemble
@@ -264,9 +271,10 @@ def _default_drive(t):
 
 
 def _time_expr_fn(expr, default):
+    # the key's built-in, or its expression compiled as a function of t
     if expr == "auto":
         return default
-    return lambda t: float(eval_expression(expr, t=t))
+    return expression_function(expr, ("t",))
 
 
 # time steps whose forcing is sampled together
@@ -280,12 +288,13 @@ def _forcing_sampler(forcing):
     scratch array allocated once here.  Any other function of time (a
     config expression, or a scalar function put in place of the built-in
     one) is called lazily, once per time as the values are consumed, so a
-    failing call surfaces at its own step.
+    failing call surfaces at its own step; ``float`` is applied by ``map``
+    too, so no Python frame but the forcing's own runs per step.
     """
     if getattr(forcing, "vectorized", False):
         scratch = np.empty(_FORCING_BLOCK_STEPS)
         return lambda times: forcing(times, scratch[:len(times)])
-    return lambda times: map(forcing, times.tolist())
+    return lambda times: map(float, map(forcing, times.tolist()))
 
 
 def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
@@ -353,7 +362,7 @@ def run_ode_driven(cfg, opts, out_dir, strict_init=False):
     env = calibrate_envelope(cfg.b, cfg.b_bar, cfg.theta0, cfg.envelope)
     u_fn = _time_expr_fn(cfg.drive, _default_drive)
     # u0 comes from the drive, and drive_play makes the fraction admissible
-    v_init = float(initial_fraction(cfg, 0.0, u_fn(0.0)))
+    v_init = float(initial_fraction(cfg, 0.0, float(u_fn(0.0))))
     rows = drive_play(u_fn, env, cfg.tau, cfg.T, v_init, strict=strict_init)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), _ColumnRows(*rows.T))
     return rows

@@ -36,8 +36,8 @@ _EXPR_NAMES = {
     "maximum": np.maximum,
     "pi": math.pi,
 }
-# the globals of every evaluation, built once; each call's own names are its
-# locals, so they shadow the math names and never outlive the call
+# the globals of every compiled expression, built once; an expression's own
+# names are its parameters, so they shadow the math names and never outlive a call
 _EXPR_GLOBALS = {"__builtins__": {}, **_EXPR_NAMES}
 
 
@@ -153,7 +153,16 @@ _MODE_DEFAULTS = {
 # each key's kind is the type of its RunConfig default; ``mode`` has none
 # because the caller names the mode
 _KINDS = {f.name: type(f.default) for f in fields(RunConfig) if f.name != "mode"}
-_EXPR_KEYS = ("u_init", "chi_init", "source", "forcing", "drive")
+# each expression key is a function of these names, besides the math names;
+# ``auto`` is the built-in of the keys that have one, not an expression
+_EXPR_KEY_NAMES = {
+    "u_init": ("x",),
+    "chi_init": ("x", "u0", "F"),
+    "source": ("x", "t"),
+    "forcing": ("t",),
+    "drive": ("t",),
+}
+_AUTO_KEYS = ("chi_init", "forcing", "drive")
 
 
 def parse_config_text(text):
@@ -197,9 +206,7 @@ def load_config(path, mode, overrides=None):
     if overrides:
         cfg = replace(cfg, **overrides)
     _validate(cfg)
-    # a malformed expression fails here, before any step runs
-    for key in _EXPR_KEYS:
-        _compile_expression(getattr(cfg, key))
+    _validate_expressions(cfg)
     return cfg
 
 
@@ -279,6 +286,23 @@ def _validate_finite(cfg):
                 raise ConfigError(f"key {key!r} must be finite, got {number!r}")
 
 
+def _validate_expressions(cfg):
+    # every expression key, whether or not the mode reads it: a malformed
+    # expression, or one naming what its key does not bind, fails here, before
+    # any step runs; each is compiled with its key's names, as the run uses it
+    for key, names in _EXPR_KEY_NAMES.items():
+        expr = getattr(cfg, key)
+        if expr == "auto" and key in _AUTO_KEYS:
+            continue
+        for node in ast.walk(_compile_expression(expr)):
+            if isinstance(node, ast.Name) and node.id not in names and node.id not in _EXPR_NAMES:
+                raise ConfigError(
+                    f"key {key!r}: expression {expr!r} uses unknown name {node.id!r}; "
+                    f"it may use {', '.join(names)} and the math names"
+                )
+        expression_function(expr, names)
+
+
 def _validate_laws(cfg):
     # only the keys the mode reads: pde alone reads the capacities and
     # conductivities, and ode-driven and calibrate always read the envelope
@@ -311,7 +335,7 @@ _EXPR_NODES = (
 
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr):
-    # eval() of a string strips leading blanks; ast.parse() does not
+    # the checked tree; eval() of a string strips leading blanks, ast.parse() does not
     try:
         tree = ast.parse(expr.lstrip(" \t"), "<config>", "eval")
     except (SyntaxError, ValueError) as exc:
@@ -321,21 +345,39 @@ def _compile_expression(expr):
         if text or not isinstance(node, _EXPR_NODES) or getattr(node, "id", "").startswith("_"):
             what = f"{type(node).__name__} {ast.unparse(node)}"
             raise ConfigError(f"expression {expr!r} may not use {what}")
-    return compile(tree, "<config>", "eval")
+    return tree
+
+
+@functools.lru_cache(maxsize=256)
+def expression_function(expr, names):
+    """The config expression ``expr`` as a function of ``names``, in order.
+
+    The checked expression is compiled once, as ``lambda <names>: <expr>``
+    over the math namespace, so each evaluation is one call.  The names are
+    its parameters: they shadow the math names and never outlive a call.  A
+    call that raises, or whose value is complex (such as a negative number
+    to a fractional power), is a config error.
+    """
+    params = ast.arguments(
+        posonlyargs=[], args=[ast.arg(name) for name in names], kwonlyargs=[], kw_defaults=[],
+        defaults=[],
+    )
+    tree = ast.Expression(ast.Lambda(params, _compile_expression(expr).body))
+    code = compile(ast.fix_missing_locations(tree), "<config>", "eval")
+    fn = eval(code, _EXPR_GLOBALS)  # noqa: S307 - local config files
+
+    def evaluate(*args):
+        try:
+            value = fn(*args)
+        except Exception as exc:
+            raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+        if isinstance(value, complex):
+            raise ConfigError(f"expression {expr!r} is not real: {value!r}")
+        return value
+
+    return evaluate
 
 
 def eval_expression(expr, **names):
-    """Evaluate a config expression over the math namespace plus ``names``.
-
-    Each distinct expression is parsed once and its code object reused.  A
-    complex value, such as a negative number to a fractional power, is a
-    config error like any other expression that cannot be evaluated.
-    """
-    code = _compile_expression(expr)
-    try:
-        value = eval(code, _EXPR_GLOBALS, names)  # noqa: S307 - local config files
-    except Exception as exc:
-        raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
-    if isinstance(value, complex):
-        raise ConfigError(f"expression {expr!r} is not real: {value!r}")
-    return value
+    """Evaluate a config expression over the math namespace plus ``names``."""
+    return expression_function(expr, tuple(names))(*names.values())

@@ -178,6 +178,17 @@ def test_malloc_variables_recorded():
     assert bench_pairs.malloc_environment({"PATH": "/bin"}) == {}
 
 
+def test_python_variables_recorded():
+    # without cached bytecode every worker compiles src/ again, which moves
+    # setup_s and peak_rss_mb, so the provenance names the interpreter settings
+    environ = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0", "PATH": "/bin",
+               "MYPYTHON": "no", "PYTHONPATH": "src"}
+    assert bench_pairs.python_environment(environ) == {
+        "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0", "PYTHONPATH": "src"
+    }
+    assert bench_pairs.python_environment({"PATH": "/bin"}) == {}
+
+
 def test_layouts_differ_in_length_and_sides_do_not():
     # each layout's directories sit at one path length on both sides
     assert len({len(name) for name in bench_pairs.LAYOUTS}) == len(bench_pairs.LAYOUTS)

@@ -20,6 +20,7 @@ from oracles import (
     coupled_forcing,
     drive_play_per_step,
     driven_schedule,
+    evaluate_expression,
     rows_csv_bytes,
 )
 
@@ -191,23 +192,29 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     def test_documented_expressions_load(self, tmp_path):
-        # the defaults, the README's forms and the benchmark's forcing
+        # the defaults, the README's forms and the benchmark's forcing, each
+        # under every key whose names it uses
         path = tmp_path / "run.cfg"
-        for expr in (
-            "auto",
-            "-5",
-            "exp(-0.5)",
-            "F(u0) + 0.1",
-            "F(u0) if x < 0.5 else 1.0",
-            "-5 + 2*sin(pi*x)",
-            "0.1*sin(pi*x)*exp(-t)",
-            "(16 if t < 1 else 4)*cos(pi*t)",
-            "16.0*cos(pi*t) - 15.0 if t < 1.0 else 4.0*cos(pi*t) + (4.0*t - 30.0)",
-            "where(x < 0.5, maximum(x, 0.1), -abs(t)) ** 2 // 1 % 3",
-            "not x < 1 and t >= 2 or x == 3",
+        every = tuple(config._EXPR_KEY_NAMES)
+        for keys, expr in (
+            (("chi_init", "forcing", "drive"), "auto"),
+            (every, "-5"),
+            (every, "exp(-0.5)"),
+            (("chi_init",), "F(u0) + 0.1"),
+            (("chi_init",), "F(u0) if x < 0.5 else 1.0"),
+            (("u_init", "chi_init", "source"), "-5 + 2*sin(pi*x)"),
+            (("source",), "0.1*sin(pi*x)*exp(-t)"),
+            (("source", "forcing", "drive"), "(16 if t < 1 else 4)*cos(pi*t)"),
+            (
+                ("source", "forcing", "drive"),
+                "16.0*cos(pi*t) - 15.0 if t < 1.0 else 4.0*cos(pi*t) + (4.0*t - 30.0)",
+            ),
+            (("source",), "where(x < 0.5, maximum(x, 0.1), -abs(t)) ** 2 // 1 % 3"),
+            (("source",), "not x < 1 and t >= 2 or x == 3"),
         ):
-            path.write_text(f"chi_init = {expr}\nsource = {expr}\n")
-            load_config(path, "pde")
+            for key in keys:
+                path.write_text(f"{key} = {expr}\n")
+                load_config(path, "pde")
 
     def test_every_run_config_field_is_a_key(self, tmp_path):
         # each field but mode, written as text, loads back to its default
@@ -302,6 +309,16 @@ class TestConfigParsing:
             ("convergence", "T = 1\ntaus = 0.1,0", 2, "key 'taus': sweep step 0.0 is not positive"),
             ("convergence", "T = 1\ntaus = 0.1,1e-4", 2, "key 'taus': sweep step 0.0001 is not coarser"),
             ("convergence", "T = 1\ntaus = 0.1,0.01,0.1", 2, "key 'taus': sweep step 0.1 is listed twice"),
+            # an expression may use its key's names and the math names only,
+            # whether or not the mode reads the key
+            ("ode-coupled", "forcing = x + t", 2, "key 'forcing': expression 'x + t' uses unknown name 'x'"),
+            ("pde", "source = u0*t", 2, "key 'source': expression 'u0*t' uses unknown name 'u0'"),
+            ("pde", "forcing = x + t", 2, "key 'forcing': expression 'x + t' uses unknown name 'x'"),
+            ("pde", "source = auto", 2, "key 'source': expression 'auto' uses unknown name 'auto'"),
+            ("pde", "u_init = -5 - t", 2, "key 'u_init': expression '-5 - t' uses unknown name 't'"),
+            ("pde", "chi_init = F(t)", 2, "key 'chi_init': expression 'F(t)' uses unknown name 't'"),
+            ("ode-driven", "drive = 8*cos(pi*u0)", 2, "key 'drive': expression '8*cos(pi*u0)' uses unknown name 'u0'"),
+            ("calibrate", "u_init = open(x)", 2, "key 'u_init': expression 'open(x)' uses unknown name 'open'"),
         ],
     )
     def test_config_errors_exit_2_naming_the_key(self, tmp_path, capsys, mode, text, code, named):
@@ -862,6 +879,121 @@ class TestExpressionNamespace:
             eval(code, config._EXPR_GLOBALS, {})
 
 
+# expressions drawn from the whitelist's grammar over t and x
+_EXPR_LEAVES = st.one_of(
+    st.floats(0.0, 100.0).map(repr),
+    st.integers(0, 9).map(str),
+    st.sampled_from(["t", "x", "pi"]),
+)
+
+
+def _expr_nodes(children):
+    def node(template, *parts):
+        return st.tuples(*parts).map(lambda p: template % p)
+
+    return st.one_of(
+        node("(%s %s %s)", children, st.sampled_from("+-*/"), children),
+        node("%s(%s)", st.sampled_from(["cos", "exp", "sin", "-"]), children),
+        node("where(%s < %s, %s, %s)", children, children, children, children),
+        node("(%s if %s < %s else %s)", children, children, children, children),
+    )
+
+
+def _outcome(evaluate):
+    # the value's type, shape and bytes, or None if the evaluation raised
+    try:
+        with np.errstate(all="ignore"):
+            value = evaluate()
+    except Exception:
+        return None
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+def _spy_expression_functions(monkeypatch):
+    # every (expr, names) compiled, and the arguments of every call of each
+    # compiled function, keyed by expression
+    compiled = []
+    calls = {}
+    compile_function = config.expression_function
+
+    def spy(expr, names):
+        compiled.append((expr, names))
+        function = compile_function(expr, names)
+
+        def counted(*args):
+            calls.setdefault(expr, []).append(args)
+            return function(*args)
+
+        return counted
+
+    monkeypatch.setattr(config, "expression_function", spy)
+    monkeypatch.setattr(cli, "expression_function", spy)
+    return compiled, calls
+
+
+class TestCompiledExpressions:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        expr=st.recursive(_EXPR_LEAVES, _expr_nodes, max_leaves=10),
+        t=st.floats(-10.0, 10.0),
+        x=st.one_of(
+            st.floats(-10.0, 10.0),
+            st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4).map(np.array),
+        ),
+    )
+    def test_compiled_function_is_the_reference_eval(self, expr, t, x):
+        # bit for bit the value plain eval gives over the math names, or both raise
+        function = config.expression_function(expr, ("t", "x"))
+        expected = _outcome(lambda: evaluate_expression(expr, t=t, x=x))
+        assert _outcome(lambda: function(t, x)) == expected, expr
+
+    def test_each_key_is_compiled_with_its_names(self, monkeypatch, tmp_path):
+        # at load and in the run, every expression key is a function of the
+        # same names
+        texts = {
+            "pde": "M = 10\nT = 0.05\nclosure = hyst\nu_init = -5 + x\n"
+            "chi_init = F(u0)\nsource = 0.1*x*t\n",
+            "ode-coupled": "T = 0.05\nchi_init = F(u0) + 0*x\nforcing = cos(pi*t)\n",
+            "ode-driven": "T = 0.3\nchi_init = F(u0)\ndrive = 8*cos(pi*t/4) - 2\n",
+        }
+        key_names = config._EXPR_KEY_NAMES
+        compiled, _ = _spy_expression_functions(monkeypatch)
+        for mode, text in texts.items():
+            path = tmp_path / f"{mode}.cfg"
+            path.write_text(text)
+            cfg = load_config(path, mode)
+            by_expr = {getattr(cfg, key): names for key, names in key_names.items()}
+            assert main([mode, "--config", str(path), "--out", str(tmp_path / mode)]) == 0
+            assert compiled and all(by_expr[expr] == names for expr, names in compiled), compiled
+            compiled.clear()
+
+    def test_coupled_run_compiles_its_forcing_once_and_calls_it_once_per_step(self, monkeypatch):
+        forcing = "16*cos(pi*t) - 15 if t < 1 else 4*t - 30"
+        cfg = load_config(None, "ode-coupled", overrides={"T": 0.5, "forcing": forcing})
+        compiled, calls = _spy_expression_functions(monkeypatch)
+        seen = _record_forcing(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions())
+        assert len(times) == 51
+        assert compiled.count((forcing, ("t",))) == 1
+        assert calls[forcing] == [(n * cfg.tau,) for n in range(1, 51)]
+        expected = [float(eval_expression(forcing, t=n * cfg.tau)) for n in range(1, 51)]
+        assert seen == expected and all(type(f) is float for f in seen)
+
+    def test_driven_run_compiles_its_drive_once_and_calls_it_once_per_step(
+        self, monkeypatch, tmp_path
+    ):
+        # once at t = 0 for the start's fraction, then once at each step time
+        drive = "8*cos(pi*t/4) - 2"
+        cfg = load_config(None, "ode-driven", overrides={"T": 3.0, "drive": drive})
+        compiled, calls = _spy_expression_functions(monkeypatch)
+        rows = cli.run_ode_driven(cfg, SolverOptions(), tmp_path)
+        assert len(rows) == 80
+        assert compiled.count((drive, ("t",))) == 1
+        assert calls[drive] == [(0.0,)] + [(n * cfg.tau,) for n in range(81)]
+
+
 class TestStepInputsSampledOnce:
     def test_pde_keeps_what_advance_sampled(self, monkeypatch):
         # each step samples both boundary schedules and the source once, in
@@ -1001,11 +1133,11 @@ class TestForcingBlocks:
         # t = 0.5 fails after the steps before it, and a solver failure at
         # step 1 wins over it
         seen = _record_forcing(monkeypatch)
-        forcing = "1.0 if t < 0.5 else undefined_name"
+        forcing = "1.0 if t < 0.5 else 1/(t - t)"
         cfg = load_config(
             None, "ode-coupled", overrides={"tau": 0.01, "forcing": forcing, "chi_init": "auto"}
         )
-        with pytest.raises(ConfigError, match="undefined_name"):
+        with pytest.raises(ConfigError, match="division by zero"):
             cli.simulate_ode_coupled(cfg, SolverOptions())
         assert seen == [1.0] * 49
         with pytest.raises(NonConvergence) as info:

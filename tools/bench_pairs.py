@@ -18,8 +18,10 @@ rotating the pairs through the layouts.  Both copies run under the
 interpreter that runs this script.
 
 Each output file holds one side: provenance (nproc, CPU, Python and numpy
-versions, both revisions, a digest of the ``src/`` files measured and any
-``MALLOC_*`` environment variables, which move ``peak_rss_mb``) and,
+versions, both revisions, a digest of the ``src/`` files measured, any
+``MALLOC_*`` environment variables, which move ``peak_rss_mb``, and any
+``PYTHON*`` ones, such as ``PYTHONDONTWRITEBYTECODE``, which moves
+``setup_s`` and ``peak_rss_mb``) and,
 per workload and for every end-to-end metric that ``BENCHMARK.json``
 names, the samples in pair order, their min, median and quartiles, and the
 number of pairs this side won (a tie counts for neither side).  Each metric
@@ -132,6 +134,15 @@ def malloc_environment(environ):
     return {name: value for name, value in sorted(environ.items()) if name.startswith("MALLOC_")}
 
 
+def python_environment(environ):
+    """The ``PYTHON*`` variables of ``environ``: interpreter settings both sides run under.
+
+    With ``PYTHONDONTWRITEBYTECODE`` set, no bytecode is cached, so every
+    worker compiles ``src/`` again as it starts.
+    """
+    return {name: value for name, value in sorted(environ.items()) if name.startswith("PYTHON")}
+
+
 def summarize(samples, wins, unit, better):
     q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {
@@ -238,6 +249,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "malloc_env": malloc_environment(os.environ),
+        "python_env": python_environment(os.environ),
         "parent_sha": parent_sha,
         "change_sha": head_sha,
         "change_uncommitted": dirty,
