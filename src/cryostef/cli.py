@@ -31,8 +31,11 @@ from .config import (
     MODES,
     RunConfig,
     eval_expression,
+    expression_block,
     expression_function,
     load_config,
+    sample_times,
+    step_times,
     whole_steps,
 )
 from .constitutive import ScaledMaterial, calibrate_envelope, equilibrium_fraction
@@ -119,10 +122,10 @@ def simulate_pde(cfg, opts, strict_init=False):
         bcs.append((cfg.bc_left(t), cfg.bc_right(t)))
         return bcs[-1]
 
+    source = expression_function(cfg.source, ("x", "t"))
+
     def f_fn(t):
-        sources.append(np.broadcast_to(
-            np.asarray(eval_expression(cfg.source, x=x, t=t), dtype=float), x.shape
-        ))
+        sources.append(np.broadcast_to(np.asarray(source(x, t), dtype=float), x.shape))
         return sources[-1]
 
     state = TimeState(0.0, u0, chi0)
@@ -271,10 +274,26 @@ def _default_drive(t):
 
 
 def _time_expr_fn(expr, default):
-    # the key's built-in, or its expression compiled as a function of t
+    """The key's built-in, or its expression compiled as a function of t.
+
+    An expression with a block form (``expression_block``) is vectorized:
+    a block of times is evaluated at once, or, where the block form refuses
+    it, by the compiled function, one call per time as ``sample_times``
+    makes them.
+    """
     if expr == "auto":
         return default
-    return expression_function(expr, ("t",))
+    function = expression_function(expr, ("t",))
+    block = expression_block(expr)
+    if block is None:
+        return function
+
+    def sample(times, scratch):
+        values = block(times)
+        return sample_times(function, times, scratch) if values is None else values.tolist()
+
+    sample.vectorized = True
+    return sample
 
 
 # time steps whose forcing is sampled together
@@ -284,17 +303,13 @@ _FORCING_BLOCK_STEPS = 1024
 def _forcing_sampler(forcing):
     """``sample(times)``: the forcing at a block of times, as floats.
 
-    A vectorized forcing is evaluated over the whole block at once, in a
-    scratch array allocated once here.  Any other function of time (a
-    config expression, or a scalar function put in place of the built-in
-    one) is called lazily, once per time as the values are consumed, so a
-    failing call surfaces at its own step; ``float`` is applied by ``map``
-    too, so no Python frame but the forcing's own runs per step.
+    ``sample_times`` evaluates a vectorized forcing (the built-in one, or
+    an expression with a block form) over the whole block at once, in a
+    scratch array allocated once here, and calls any other function of
+    time once per time, as the values are consumed.
     """
-    if getattr(forcing, "vectorized", False):
-        scratch = np.empty(_FORCING_BLOCK_STEPS)
-        return lambda times: forcing(times, scratch[:len(times)])
-    return lambda times: map(float, map(forcing, times.tolist()))
+    scratch = np.empty(_FORCING_BLOCK_STEPS)
+    return lambda times: sample_times(forcing, times, scratch[:len(times)])
 
 
 def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
@@ -305,11 +320,12 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
     from step to step as plain floats, so no Newton iterate pays for numpy
     scalar arithmetic.  The forcing is sampled a block of steps at a time
     (``_forcing_sampler``): the built-in one with one array cosine per block,
-    an expression step by step as the block is consumed.  Each block's
-    states are collected in lists and its kept ones copied into the
-    preallocated arrays once, so the loop does the same work at every
-    stride and nothing but the three returned arrays grows with the number
-    of steps.  The stepper is handed back the state object it returned, so
+    an expression with one evaluation of its block form per block, or step
+    by step as the block is consumed where it has none or the block form
+    refuses the block.  Each block's states are collected in lists and its
+    kept ones copied into the preallocated arrays once, so the loop does the
+    same work at every stride and nothing but the three returned arrays
+    grows with the number of steps.  The stepper is handed back the state object it returned, so
     it reuses that state's fraction.
     """
     tau = cfg.tau if tau is None else tau
@@ -331,8 +347,7 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
     u[0], chi[0] = u_n, chi_n
     try:
         for start in range(1, n_steps + 1, _FORCING_BLOCK_STEPS):
-            block = np.arange(start, min(start + _FORCING_BLOCK_STEPS, n_steps + 1), dtype=float)
-            block *= tau
+            block = step_times(start, min(start + _FORCING_BLOCK_STEPS, n_steps + 1), tau)
             us, chis = [], []
             for f_n in sample(block):
                 u_n, chi_n, _, _ = stepper.step(u_n, chi_n, tau, f_n)
@@ -361,8 +376,11 @@ def run_ode_coupled(cfg, opts, out_dir, strict_init=False):
 def run_ode_driven(cfg, opts, out_dir, strict_init=False):
     env = calibrate_envelope(cfg.b, cfg.b_bar, cfg.theta0, cfg.envelope)
     u_fn = _time_expr_fn(cfg.drive, _default_drive)
+
     # u0 comes from the drive, and drive_play makes the fraction admissible
-    v_init = float(initial_fraction(cfg, 0.0, float(u_fn(0.0))))
+    def v_init(u0):
+        return float(initial_fraction(cfg, 0.0, u0))
+
     rows = drive_play(u_fn, env, cfg.tau, cfg.T, v_init, strict=strict_init)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ("t", "u", "chi"), _ColumnRows(*rows.T))
     return rows

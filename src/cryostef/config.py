@@ -381,3 +381,140 @@ def expression_function(expr, names):
 def eval_expression(expr, **names):
     """Evaluate a config expression over the math namespace plus ``names``."""
     return expression_function(expr, tuple(names))(*names.values())
+
+
+# the calls a block form may make, with their argument counts: numpy's
+# functions of an array give the bits of the same function of each element
+_BLOCK_CALLS = {
+    "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1,
+    "where": 3, "minimum": 2, "maximum": 2,
+}
+# the calls whose value is an integer when the values they are given are
+_BLOCK_INT_CALLS = ("abs", "where", "minimum", "maximum")
+_BLOCK_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub,
+              ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+
+def _block_node(node, test=False):
+    """``node`` over an array of times, and a bound on its size if its value
+    is an integer, else None.
+
+    Only numbers, ``t``, ``pi``, ``+ - * /``, unary ``-``, comparisons with
+    one operator, ``if ... else`` (as ``where``) and calls of the namespace's
+    functions have a block form; anything else raises ValueError.  Numpy's
+    ``**`` and ``%`` need not round as Python's do, and ``and``, ``or``,
+    ``not`` and chained comparisons do not work on arrays.  Three more
+    rules keep every value the same type at a time and over the block, so
+    that each operation is the same:
+
+    * an integer is at most 2**53 in size, so it has an exact float and an
+      int64 (numpy rounds an int to a float where Python compares exactly);
+    * a comparison is a ``test``: the condition of an ``if ... else`` or a
+      ``where``, or the whole expression (numpy adds bools as ``or`` and
+      takes their functions as float16);
+    * the two branches of an ``if ... else`` are both integers or both
+      floats (``where`` makes a float of an int that Python keeps, and
+      ``-0`` is ``0`` but ``-0.0`` is not ``0.0``).
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        new, bound = node, abs(node.value) if type(node.value) is int else None
+    elif isinstance(node, ast.Name) and node.id in ("t", "pi"):
+        new, bound = node, None
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand, bound = _block_node(node.operand)
+        new = ast.UnaryOp(node.op, operand)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _BLOCK_OPS):
+        (left, lb), (right, rb) = _block_node(node.left), _block_node(node.right)
+        new, bound = ast.BinOp(left, node.op, right), None
+        if lb is not None and rb is not None and not isinstance(node.op, ast.Div):
+            bound = lb * rb if isinstance(node.op, ast.Mult) else lb + rb
+    elif (isinstance(node, ast.Compare) and test and len(node.ops) == 1
+          and isinstance(node.ops[0], _BLOCK_OPS)):
+        (left, _), (right, _) = _block_node(node.left), _block_node(node.comparators[0])
+        new, bound = ast.Compare(left, node.ops, [right]), None
+    elif isinstance(node, ast.IfExp):
+        (cond, _), (body, b1), (orelse, b2) = (
+            _block_node(node.test, True), _block_node(node.body), _block_node(node.orelse)
+        )
+        if (b1 is None) != (b2 is None):
+            raise ValueError(ast.unparse(node))
+        new = ast.Call(ast.Name("where", ast.Load()), [cond, body, orelse], [])
+        bound = None if b1 is None else max(b1, b2)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+          and _BLOCK_CALLS.get(node.func.id) == len(node.args)):
+        where = node.func.id == "where"
+        parts = [_block_node(arg, where and i == 0) for i, arg in enumerate(node.args)]
+        new, bound = ast.Call(node.func, [arg for arg, _ in parts], []), None
+        bounds = [b for _, b in parts[where:]]
+        if node.func.id in _BLOCK_INT_CALLS and None not in bounds:
+            bound = max(bounds)
+    else:
+        raise ValueError(ast.unparse(node))
+    if bound is not None and bound > 2**53:
+        raise ValueError(ast.unparse(node))
+    return new, bound
+
+
+@functools.lru_cache(maxsize=256)
+def expression_block(expr):
+    """The time expression ``expr`` over an array of times, or None if it has no block form.
+
+    The checked expression is compiled once, as ``lambda t: <expr>`` with
+    each ``a if c else b`` rewritten as ``where(c, a, b)`` (see
+    ``_block_node`` for the syntax that has a block form).  The returned
+    function gives the float value at every time of an array, each with the
+    bits of ``float(expression_function(expr, ("t",))(t))``.  It returns None
+    instead, and the block must be evaluated step by step, when the block
+    raises, divides by zero, overflows, makes an invalid value or gives a
+    value that is not finite: each of those may raise, warn or fail at its
+    own step when evaluated step by step.
+    """
+    try:
+        body, _ = _block_node(_compile_expression(expr).body, test=True)
+    except ValueError:
+        return None
+    params = ast.arguments(
+        posonlyargs=[], args=[ast.arg("t")], kwonlyargs=[], kw_defaults=[], defaults=[],
+    )
+    tree = ast.Expression(ast.Lambda(params, body))
+    code = compile(ast.fix_missing_locations(tree), "<config>", "eval")
+    fn = eval(code, _EXPR_GLOBALS)  # noqa: S307 - local config files
+
+    def evaluate(times):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                values = np.asarray(fn(times), dtype=float)
+        except Exception:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        return np.broadcast_to(values, times.shape)
+
+    return evaluate
+
+
+def step_times(start, stop, tau):
+    """The times n*tau of steps start <= n < stop, with the bits of n*tau.
+
+    ``float(n)*tau`` is ``n*tau``; the array is scaled in place, so no
+    second array of its length is made.
+    """
+    times = np.arange(start, stop, dtype=float)
+    times *= tau
+    return times
+
+
+def sample_times(function, times, scratch):
+    """``function`` of time at each of ``times``, as an iterable of floats.
+
+    A vectorized function (one whose ``vectorized`` is true) is called once
+    over the whole array, as ``function(times, scratch)``; ``scratch`` is a
+    float array as long as ``times`` that it may work in.  Any
+    other function is called once per time, lazily as the values are
+    consumed, so a failing call surfaces at its own step; ``float`` is
+    applied by ``map`` too, so no Python frame but the function's own runs
+    per time.
+    """
+    if getattr(function, "vectorized", False):
+        return function(times, scratch)
+    return map(float, map(function, times.tolist()))

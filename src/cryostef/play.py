@@ -10,11 +10,13 @@ pinned to one of the moving bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import sample_times, step_times
 from .errors import ConfigError, InvalidBounds
 from .stepper import Closure, validate_initial_fraction
 
@@ -43,7 +45,8 @@ def play_step(v_prev, alpha, beta):
     return beta if beta < v else v
 
 
-# steps whose curves are evaluated and whose clamps are run together
+# steps whose drive is sampled, whose curves are evaluated and whose clamps
+# are run together
 _BLOCK_STEPS = 1024
 
 
@@ -55,13 +58,18 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     previous temperature (the gap is lagged by one step).  Returns an array
     of rows ``(t, u, chi)`` for steps 1..N with N = round(T/tau).
 
-    The drive is sampled at every step time, one call each, before any step
-    runs.  The returned array is then filled a block of steps at a time:
-    both curves are evaluated once over the block's drive, and only the
-    clamp runs per step.  ``v_init`` is made admissible at u(0) by the
-    hysteretic initial-fraction rule: with ``strict`` off an infeasible
-    start is clamped, with a warning.  A drive value or a ``v_init`` that is
-    not finite is a config error.
+    The drive is sampled at every step time t = 0 ... N*tau before any step
+    runs, a block of times at a time, so that only one block of samples is
+    held beside the drive's array: a vectorized drive (see
+    ``sample_times``) in one call per block, any other one call per time.
+    ``v_init`` is the starting fraction, or a function of u(0) that gives
+    it, called after u(0) is sampled and before any later time is.  The
+    returned array is then filled a block of steps at a time: both curves
+    are evaluated once over the block's drive, and only the clamp runs per
+    step.  ``v_init`` is made admissible at u(0) by the hysteretic
+    initial-fraction rule: with ``strict`` off an infeasible start is
+    clamped, with a warning.  A drive value or a ``v_init`` that is not
+    finite is a config error.
     """
     if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
@@ -71,7 +79,18 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {tau}")
 
-    u = np.fromiter((float(u_schedule(n * tau)) for n in range(n_steps + 1)), float, n_steps + 1)
+    scratch = np.empty(_BLOCK_STEPS)
+    blocks = (
+        step_times(start, min(start + _BLOCK_STEPS, n_steps + 1), tau)
+        for start in range(0, n_steps + 1, _BLOCK_STEPS)
+    )
+    values = itertools.chain.from_iterable(
+        sample_times(u_schedule, times, scratch[:len(times)]) for times in blocks
+    )
+    u0 = next(values)
+    if callable(v_init):
+        v_init = v_init(u0)
+    u = np.fromiter(itertools.chain((u0,), values), float, n_steps + 1)
     bad = np.flatnonzero(~np.isfinite(u))
     if bad.size:
         raise ConfigError(f"key 'drive' is not finite at t={int(bad[0]) * tau}")

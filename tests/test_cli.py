@@ -442,8 +442,8 @@ class TestOdeDrivenMode:
         cfg = replace(load_config(None, "ode-driven"), tau=tau)
         cli.run_ode_driven(cfg, SolverOptions(), tmp_path)
         n_steps = int(round(cfg.T / tau))
-        # u0 for the initial fraction, then every step time from 0 on
-        assert [t for t, _ in seen] == [0.0] + [n * tau for n in range(n_steps + 1)]
+        # every step time from 0 on, once each: u0 for the initial fraction is the first
+        assert [t for t, _ in seen] == [n * tau for n in range(n_steps + 1)]
         assert all(type(value) is float for _, value in seen)
         expected = [driven_schedule(t) for t, _ in seen]
         got = [value for _, value in seen]
@@ -931,6 +931,31 @@ def _spy_expression_functions(monkeypatch):
     return compiled, calls
 
 
+def _spy_expression_blocks(monkeypatch):
+    # every expression whose block form is compiled, and the times of every
+    # evaluation of each block form with whether it was used, keyed by expression
+    compiled = []
+    evaluations = {}
+    compile_block = config.expression_block
+
+    def spy(expr):
+        compiled.append(expr)
+        block = compile_block(expr)
+        if block is None:
+            return None
+
+        def counted(times):
+            values = block(times)
+            evaluations.setdefault(expr, []).append((times.tolist(), values is not None))
+            return values
+
+        return counted
+
+    monkeypatch.setattr(config, "expression_block", spy)
+    monkeypatch.setattr(cli, "expression_block", spy)
+    return compiled, evaluations
+
+
 class TestCompiledExpressions:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
@@ -967,63 +992,73 @@ class TestCompiledExpressions:
             assert compiled and all(by_expr[expr] == names for expr, names in compiled), compiled
             compiled.clear()
 
-    def test_coupled_run_compiles_its_forcing_once_and_calls_it_once_per_step(self, monkeypatch):
+    def test_coupled_forcing_is_compiled_once_and_run_by_block(self, monkeypatch):
+        # one evaluation of the block form per block of steps and no call per
+        # step; each step still gets the float the compiled function gives
         forcing = "16*cos(pi*t) - 15 if t < 1 else 4*t - 30"
-        cfg = load_config(None, "ode-coupled", overrides={"T": 0.5, "forcing": forcing})
+        cfg = load_config(None, "ode-coupled", overrides={"tau": 1e-3, "T": 1.5, "forcing": forcing})
         compiled, calls = _spy_expression_functions(monkeypatch)
+        blocks, evaluations = _spy_expression_blocks(monkeypatch)
         seen = _record_forcing(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions())
-        assert len(times) == 51
-        assert compiled.count((forcing, ("t",))) == 1
-        assert calls[forcing] == [(n * cfg.tau,) for n in range(1, 51)]
-        expected = [float(eval_expression(forcing, t=n * cfg.tau)) for n in range(1, 51)]
-        assert seen == expected and all(type(f) is float for f in seen)
+        assert len(times) == 1501
+        assert compiled.count((forcing, ("t",))) == 1 and blocks == [forcing]
+        assert forcing not in calls
+        edges = [(1, 1025), (1025, 1501)]
+        assert evaluations[forcing] == [([n * cfg.tau for n in range(*e)], True) for e in edges]
+        expected = [float(eval_expression(forcing, t=n * cfg.tau)) for n in range(1, 1501)]
+        assert all(type(f) is float for f in seen)
+        assert np.array_equal(np.array(seen).view(np.int64), np.array(expected).view(np.int64))
 
-    def test_driven_run_compiles_its_drive_once_and_calls_it_once_per_step(
-        self, monkeypatch, tmp_path
-    ):
-        # once at t = 0 for the start's fraction, then once at each step time
-        drive = "8*cos(pi*t/4) - 2"
-        cfg = load_config(None, "ode-driven", overrides={"T": 3.0, "drive": drive})
-        compiled, calls = _spy_expression_functions(monkeypatch)
-        rows = cli.run_ode_driven(cfg, SolverOptions(), tmp_path)
-        assert len(rows) == 80
-        assert compiled.count((drive, ("t",))) == 1
-        assert calls[drive] == [(0.0,)] + [(n * cfg.tau,) for n in range(81)]
+    def test_driven_run_samples_each_step_time_once(self, monkeypatch, tmp_path):
+        # one block evaluation over t = 0 ... N*tau; where the block form
+        # refuses it (a log of a negative number in the branch not taken),
+        # one call of the compiled function per step time, t = 0 included once
+        step_times = [n * 3.75e-2 for n in range(81)]
+        rows = []
+        for drive in ("8*cos(pi*t/4) - 2", "8*cos(pi*t/4) - 2 if t < 100 else log(t - 1)"):
+            cfg = load_config(None, "ode-driven", overrides={"T": 3.0, "drive": drive})
+            with pytest.MonkeyPatch.context() as patch:
+                compiled, calls = _spy_expression_functions(patch)
+                blocks, evaluations = _spy_expression_blocks(patch)
+                rows.append(cli.run_ode_driven(cfg, SolverOptions(), tmp_path / str(len(rows))))
+            assert len(rows[-1]) == 80
+            assert compiled.count((drive, ("t",))) == 1 and blocks == [drive]
+            (times, used), = evaluations[drive]
+            assert times == step_times
+            assert calls.get(drive, []) == ([] if used else [(t,) for t in step_times])
+            assert used == (len(rows) == 1)
+        assert np.array_equal(rows[0].view(np.int64), rows[1].view(np.int64))
 
 
 class TestStepInputsSampledOnce:
     def test_pde_keeps_what_advance_sampled(self, monkeypatch):
         # each step samples both boundary schedules and the source once, in
-        # advance; the run keeps those values and the diagnostics reuse them
+        # advance, the source through its function compiled once; the run
+        # keeps those values and the diagnostics reuse them
         schedule_calls = Counter()
-        expr_calls = Counter()
         schedule = PiecewiseLinearSchedule.__call__
-        evaluate = cli.eval_expression
 
         def counting_schedule(self, t):
             schedule_calls[id(self)] += 1
             return schedule(self, t)
 
-        def counting_eval(expr, **names):
-            expr_calls[expr] += 1
-            return evaluate(expr, **names)
-
         monkeypatch.setattr(PiecewiseLinearSchedule, "__call__", counting_schedule)
-        monkeypatch.setattr(cli, "eval_expression", counting_eval)
         cfg = load_config(None, "pde", overrides={"M": 10, "T": 0.3, "source": "0.1*x*t"})
+        compiled, calls = _spy_expression_functions(monkeypatch)
         run = cli.simulate_pde(cfg, SolverOptions())
         n = len(run.reports)
         assert n == 30
         assert schedule_calls == {id(cfg.bc_left): n, id(cfg.bc_right): n}
-        assert expr_calls == {cfg.u_init: 1, cfg.source: n}
+        assert compiled.count((cfg.source, ("x", "t"))) == 1
+        assert {expr: len(args) for expr, args in calls.items()} == {cfg.u_init: 1, cfg.source: n}
 
         schedule_calls.clear()
-        expr_calls.clear()
+        calls.clear()
         cli._pde_diagnostics(run)
-        assert not schedule_calls and not expr_calls
+        assert not schedule_calls and not calls
         monkeypatch.undo()
 
         assert len(run.sources) == len(run.bcs) == n
@@ -1171,6 +1206,129 @@ class TestForcingBlocks:
             "scalar step stalled at residual 1.230e-05\n"
         )
         assert not out.exists()
+
+
+# time expressions: _expr_nodes over t alone, plus comparisons with one operator
+_TIME_LEAVES = st.one_of(
+    st.floats(0.0, 100.0).map(repr),
+    st.integers(0, 9).map(str),
+    st.sampled_from(["t", "pi"]),
+)
+
+
+def _time_expr_nodes(children):
+    compare = st.tuples(children, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), children)
+    return st.one_of(_expr_nodes(children), compare.map(lambda p: "(%s %s %s)" % p))
+
+
+def _sampled(sample, times):
+    # the hex of each float sampled in turn, then the message of a config
+    # error if one is raised, and the (category, message) of every warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = []
+        try:
+            for value in sample(times):
+                assert type(value) is float
+                out.append(value.hex())
+        except ConfigError as err:
+            out.append(str(err))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _per_step(function):
+    # the compiled function called at each time, the sampling of a function with no block form
+    return lambda times: (float(function(t)) for t in times.tolist())
+
+
+class TestExpressionBlocks:
+    # a forcing or drive expression is evaluated a block of times at a time
+    # where that gives the per-step bits, and step by step where it may not
+
+    # an expression with a block form, then one per rule of _block_node:
+    # without that rule, each would have a block form that gives other bits
+    @example(expr="(16 if t < 1 else 4)*cos(pi*t)", tau=1e-3, edge=1, before=30, after=30)
+    @example(expr="-(0 if t < 1 else t)", tau=1e-4, edge=1, before=3, after=3)
+    @example(expr="(t < 1) + (t < 2)", tau=1e-4, edge=1, before=3, after=3)
+    @example(expr="cos((t < 1) if t < 2 else 0.5)", tau=1e-4, edge=1, before=3, after=3)
+    @example(expr="(t + 9007199254740992) < 9007199254740993", tau=1e-4, edge=1, before=3, after=3)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        expr=st.recursive(_TIME_LEAVES, _time_expr_nodes, max_leaves=8),
+        tau=st.floats(1e-4, 0.05),
+        edge=st.integers(1, 3),
+        before=st.integers(1, 6),
+        after=st.integers(1, 6),
+    )
+    def test_block_form_is_the_per_step_function(self, expr, tau, edge, before, after):
+        # steps either side of a block edge: the block form is refused, or it
+        # gives every value bit for bit; a block in which some per-step call
+        # raises or warns is refused, and then sampling is the per-step one
+        edge *= cli._FORCING_BLOCK_STEPS
+        times = config.step_times(edge - before, edge + after, tau)
+        function = config.expression_function(expr, ("t",))
+        block = config.expression_block(expr)
+        expected, expected_warnings = _sampled(_per_step(function), times)
+        values = None if block is None else block(times)
+        if len(expected) < len(times) or expected_warnings:
+            assert values is None, expr
+        elif values is not None:
+            assert [v.hex() for v in values.tolist()] == expected, expr
+        sample = cli._forcing_sampler(cli._time_expr_fn(expr, None))
+        assert _sampled(sample, times) == (expected, expected_warnings), expr
+
+    def test_division_by_zero_in_the_block_fails_at_its_step(self, monkeypatch):
+        forcing = "1/(t - 0.05)"
+        assert config.expression_block(forcing)(config.step_times(1, 1025, 0.01)) is None
+        seen = _record_forcing(monkeypatch)
+        cfg = load_config(None, "ode-coupled", overrides={"forcing": forcing, "chi_init": "auto"})
+        with pytest.raises(ConfigError) as info:
+            cli.simulate_ode_coupled(cfg, SolverOptions())
+        assert str(info.value) == "cannot evaluate expression '1/(t - 0.05)': float division by zero"
+        assert seen == [1 / (n * 0.01 - 0.05) for n in range(1, 5)]
+
+    def test_warnings_of_a_refused_block_are_the_per_step_ones(self):
+        forcing = "where(t < 1, log(t - 1), 0)"
+        times = config.step_times(1, 201, 0.01)
+        assert config.expression_block(forcing)(times) is None
+        expected = _sampled(_per_step(config.expression_function(forcing, ("t",))), times)
+        assert expected[1] and len(expected[0]) == 200
+        assert _sampled(cli._forcing_sampler(cli._time_expr_fn(forcing, None)), times) == expected
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["(t - 1) ** 0.5", "t % 2", "t // 2", "t < 1 and t > 0", "not t", "0 < t < 1",
+         "t < 9007199254740993", "cos(t, t)", "where(t)", "t is t"],
+    )
+    def test_syntax_without_a_block_form(self, expr):
+        assert config.expression_block(expr) is None
+        assert cli._time_expr_fn(expr, None) is config.expression_function(expr, ("t",))
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [("3", lambda t: 3.0), ("t < 0.5", lambda t: float(t < 0.5))],
+        ids=["number", "comparison"],
+    )
+    def test_values_become_floats_over_the_block(self, expr, value):
+        # a number is broadcast to the block, and bools become floats
+        times = config.step_times(1, 101, 0.01)
+        values = config.expression_block(expr)(times)
+        assert values.dtype == float and values.tolist() == [value(t) for t in times.tolist()]
+
+    def test_builtin_forcing_written_as_an_expression(self, monkeypatch):
+        # the benchmark's expression_bit_identical check: ode-long's forcing
+        # expression runs with no per-step call and the built-in's bits
+        forcing = "16.0*cos(pi*t) - 15.0 if t < 1.0 else 4.0*cos(pi*t) + (4.0*t - 30.0)"
+        cfg = load_config(None, "ode-coupled", overrides={"tau": 1e-4, "T": 2.0, "forcing": forcing})
+        _, calls = _spy_expression_functions(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, u, chi = cli.simulate_ode_coupled(cfg, SolverOptions())
+            _, u_auto, chi_auto = cli.simulate_ode_coupled(replace(cfg, forcing="auto"), SolverOptions())
+        assert forcing not in calls
+        assert len(u) == 20001
+        assert np.array_equal(u.view(np.int64), u_auto.view(np.int64))
+        assert np.array_equal(chi.view(np.int64), chi_auto.view(np.int64))
 
 
 class TestModeFlags:
