@@ -10,11 +10,22 @@ contracts only for mild data and is kept as a baseline.
 
 Both strategies are deterministic: identical inputs produce bit-identical
 iterates.
+
+Each Newton system is tridiagonal and solved by ``thomas_solve``, whose
+float loop defines the result.  Numpy's bundled LAPACK ``dgtsv``, reached
+through ctypes, solves a system instead when a check at the first solve
+shows that it gives the loop's bits, and then only where its guards show
+that it took the loop's steps.  Without that library, or when the check
+fails, the loop solves every system: the package depends on numpy alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
+import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +42,9 @@ FRACTION_SUP = 1.0
 # Random probes per estimated constant, and their seed, in contraction_diagnostic.
 DIAGNOSTIC_PROBES = 32
 DIAGNOSTIC_SEED = 0
+
+# Rows of the fixed system on which the bundled dgtsv must give the loop's bits.
+SELF_CHECK_ROWS = 64
 
 
 @dataclass
@@ -73,16 +87,49 @@ def thomas_solve(diag, off, rhs):
     """Direct solve of a symmetric tridiagonal system by elimination.
 
     Assumes the matrix is positive definite (true for every Jacobian built
-    here); a collapsing pivot signals that assumption failed.
+    here); a collapsing pivot signals that assumption failed.  The float
+    loop ``_thomas_loop`` defines the result.  Numpy's bundled LAPACK
+    ``dgtsv`` solves the system instead where it gives the loop's bits:
+    finite data of two or more rows, no row interchange, no collapsing
+    pivot, and a finite solution without a zero entry.  Any other system,
+    and every system where the first-use check found other bits, goes to
+    the loop, with its messages and its NaNs.  Callers do not modify ``off``
+    in place between calls: its magnitudes are kept with the last array seen.
     """
     n = diag.shape[0]
-    scale = float(abs(diag).max())
-    if off.size:
-        scale = max(scale, float(abs(off).max()))
+    absoff, off_max = _magnitudes(off)
+    # max() keeps its first argument unless the second is larger: a NaN in
+    # diag makes the scale NaN, a NaN in off does not
+    scale = max(float(abs(diag).max()), off_max)
     tiny = max(scale, 1.0) * 1e-15
+    if n >= 2 and math.isfinite(scale + off_max):
+        kernel = _dgtsv if _dgtsv is not None else _load_dgtsv()
+        if kernel:
+            x = kernel.solve(diag, off, absoff, rhs, tiny)
+            if x is not None:
+                return x
+    return _thomas_loop(diag, off, rhs, tiny)
 
+
+def _magnitudes(off):
+    # |off| and its largest entry, once per array: the Jacobians of an outer
+    # pass share one off-diagonal; holding the key keeps its id from reuse
+    global _off_magnitudes
+    key, absoff, off_max = _off_magnitudes
+    if off is not key:
+        absoff = abs(off)
+        off_max = float(absoff.max()) if off.size else 0.0
+        _off_magnitudes = off, absoff, off_max
+    return absoff, off_max
+
+
+_off_magnitudes = (None, None, None)
+
+
+def _thomas_loop(diag, off, rhs, tiny):
     # plain Python floats: a numpy scalar per operation costs more than the
     # arithmetic; tests hold the result bit-equal to the same loop in numpy
+    n = diag.shape[0]
     w = diag.tolist()
     e = off.tolist()
     g = rhs.tolist()
@@ -102,6 +149,120 @@ def thomas_solve(diag, off, rhs):
     for i in range(n - 2, -1, -1):
         g[i] = x = (g[i] - e[i] * x) / w[i]
     return np.array(g)
+
+
+class _Dgtsv:
+    """LAPACK ``dgtsv`` (ILP64) with one set of buffers per system size.
+
+    ``dgtsv`` eliminates as the loop does while ``|d[i]| >= |dl[i]|``,
+    and otherwise interchanges rows ``i`` and ``i + 1``, which leaves
+    ``d[i] == dl[i]``.  Its back substitution also subtracts
+    ``dl[i] * x[i + 2]`` with ``dl[i]`` zeroed, which changes a bit only
+    where that term is NaN or flips the sign of a zero, so a solution entry
+    is then non-finite or zero.  ``solve`` returns None for each of these.
+    One lock serializes the solves that share the buffers.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._lock = threading.Lock()
+        self._info = ctypes.c_int64()
+        self._nrhs = ctypes.c_int64(1)
+        self._sizes = {}
+
+    def _buffers(self, n):
+        # dl, d, du and b, the pivot magnitudes, a mask, and the call's
+        # arguments: all made once per size
+        block = np.empty((5, n))
+        dl, d, du, b, mag = block
+        dl, du = dl[:-1], du[:-1]
+        size = ctypes.c_int64(n)
+        ref = ctypes.byref
+        pointers = (ctypes.c_void_p(a.ctypes.data) for a in (dl, d, du, b))
+        args = (ref(size), ref(self._nrhs), *pointers, ref(size), ref(self._info))
+        mask = np.empty(n, bool)
+        buffers = self._sizes[n] = (dl, d, du, b, mag, mag[:-1], mask, mask[:-1], args)
+        return buffers
+
+    def solve(self, diag, off, absoff, rhs, tiny):
+        """The loop's solution of the system, or None where ``dgtsv`` may differ."""
+        n = diag.shape[0]
+        if off.shape != (n - 1,) or rhs.shape != (n,):
+            return None
+        with self._lock:
+            dl, d, du, b, mag, mag_head, mask, mask_head, args = (
+                self._sizes.get(n) or self._buffers(n)
+            )
+            dl[:] = off
+            du[:] = off
+            d[:] = diag
+            b[:] = rhs
+            self._fn(*args)
+            if self._info.value:
+                return None
+            np.abs(d, out=mag)
+            if not mag.min() >= tiny:
+                return None
+            np.greater(mag_head, absoff, out=mask_head)
+            if np.count_nonzero(mask_head) < n - 1:
+                return None
+            if np.count_nonzero(np.isfinite(b, out=mask)) < n or np.count_nonzero(b) < n:
+                return None
+            return b.copy()
+
+
+def _bundled_dgtsv():
+    """``dgtsv`` of the OpenBLAS that numpy's wheel bundles, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if name.startswith("libscipy_openblas64_") and name.endswith(".so"):
+            try:
+                fn = ctypes.CDLL(os.path.join(libs, name)).scipy_dgtsv_64_
+            except (OSError, AttributeError):
+                return None
+            # the Fortran interface: every argument by address, no return value
+            fn.argtypes = (ctypes.c_void_p,) * 8
+            fn.restype = None
+            return fn
+    return None
+
+
+def _load_dgtsv():
+    """Look up ``dgtsv`` at the first solve and keep it if it gives the loop's bits.
+
+    The check solves one fixed system both ways; a library built with
+    fused multiply-adds, for one, fails it, and then every system goes to
+    the loop.
+    """
+    global _dgtsv
+    _dgtsv = False
+    fn = _bundled_dgtsv()
+    if fn is None:
+        return _dgtsv
+    diag, off, rhs = _self_check_system()
+    tiny = max(float(abs(diag).max()), float(abs(off).max()), 1.0) * 1e-15
+    kernel = _Dgtsv(fn)
+    x = kernel.solve(diag, off, abs(off), rhs, tiny)
+    if x is not None and x.tobytes() == _thomas_loop(diag, off, rhs, tiny).tobytes():
+        _dgtsv = kernel
+    return _dgtsv
+
+
+def _self_check_system():
+    # rounded quotients, strictly diagonally dominant, off-diagonals near
+    # half the diagonal: a fused multiply-add at any one of the loop's three
+    # updates moves 20 to 50 of the 64 solution entries.  Only arithmetic
+    # the run has already used: a first numpy sin or dot faults in code pages
+    i = np.arange(1.0, SELF_CHECK_ROWS + 1.0)
+    return 2.0 + 1.0 / (i + 1.3), -1.0 + 1.0 / (i[1:] + 2.7), 1.0 / (i + 0.3) - 0.2
+
+
+# the bundled dgtsv once the first solve has looked it up; False without it
+_dgtsv = None
 
 
 def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None):

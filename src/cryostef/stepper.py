@@ -133,7 +133,8 @@ class StepProblem:
     The pointwise laws and the stored energy are evaluated once per
     iterate: the last evaluation is kept with the object it was made at and
     reused while the same object comes back.  Iterates are therefore never
-    modified in place.  The Jacobian scales the matrix by tau on each call.
+    modified in place.  The Jacobian's off-diagonal, tau times the
+    matrix's, is likewise made once per assembly object.
     """
 
     def __init__(self, prev, closure, tau, f_n, material, assembler):
@@ -144,7 +145,7 @@ class StepProblem:
         self._update, self._slope = _closure_laws(closure, prev.upsilon, self.beta, tau)
         self.initial_guess = np.array(prev.u, dtype=float, copy=True)
         # holding each key keeps its id from being reused by another object
-        self._laws_at = self._energy_at = None
+        self._laws_at = self._energy_at = self._off_at = None
         # the laws at the previous state also serve the first assembly and residual
         self.rhs = (
             tau * np.asarray(f_n, dtype=float)
@@ -179,7 +180,10 @@ class StepProblem:
             + self._slope(laws.fraction, laws.fraction_slope())
             + self.tau * asm.diag
         )
-        return diag, self.tau * asm.off
+        if asm is not self._off_at:
+            self._off = self.tau * asm.off
+            self._off_at = asm
+        return diag, self._off
 
 
 def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic"):

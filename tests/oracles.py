@@ -7,6 +7,7 @@ Jacobians, bisection, a closure dispatched at every iterate.  Nothing imports th
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -114,6 +115,33 @@ def thomas_numpy(diag, off, rhs):
     x[-1] = g[-1] / w[-1]
     for i in range(n - 2, -1, -1):
         x[i] = (g[i] - off[i] * x[i + 1]) / w[i]
+    return x
+
+
+def thomas_fused(diag, off, rhs, fused):
+    """The Thomas loop with a fused multiply-add at the updates named in ``fused``.
+
+    ``fused`` holds any of "pivot", "rhs" and "back": the pivot update
+    w - m*e, the right-hand side update g - m*g_prev and the back
+    substitution's g - e*x.  Each fused update rounds once, from the exact
+    rational value, as a compiler's contraction would.
+    """
+
+    def update(a, m, x, name):
+        if name in fused:
+            return float(Fraction(a) - Fraction(m) * Fraction(x))
+        return a - m * x
+
+    n = len(diag)
+    w, g = list(diag), list(rhs)
+    for i in range(1, n):
+        m = off[i - 1] / w[i - 1]
+        w[i] = update(w[i], m, off[i - 1], "pivot")
+        g[i] = update(g[i], m, g[i - 1], "rhs")
+    x = [0.0] * n
+    x[-1] = g[-1] / w[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = update(g[i], off[i], x[i + 1], "back") / w[i]
     return x
 
 

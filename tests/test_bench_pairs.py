@@ -189,6 +189,33 @@ def test_python_variables_recorded():
     assert bench_pairs.python_environment({"PATH": "/bin"}) == {}
 
 
+def test_numpy_lapack_build_recorded():
+    # the bundled LAPACK solves the Newton systems, so its build is provenance
+    config = {"Build Dependencies": {"lapack": {
+        "name": "scipy-openblas", "found": True, "version": "0.3.31",
+        "openblas configuration": "OpenBLAS 0.3.31 USE64BITINT DYNAMIC_ARCH Haswell",
+        "lib directory": "/somewhere",
+    }}}
+    assert bench_pairs.numpy_lapack(config) == {
+        "name": "scipy-openblas", "version": "0.3.31",
+        "openblas configuration": "OpenBLAS 0.3.31 USE64BITINT DYNAMIC_ARCH Haswell",
+    }
+    # a build without OpenBLAS has no configuration line
+    assert bench_pairs.numpy_lapack({"Build Dependencies": {"lapack": {"name": "mkl"}}}) == {
+        "name": "mkl", "version": None, "openblas configuration": None
+    }
+    import numpy as np
+    assert bench_pairs.numpy_lapack(np.show_config(mode="dicts"))["name"]
+
+
+def test_cpu_dispatch_targets_recorded():
+    # numpy's exp and log loops are picked by CPU feature, and so are its bits
+    features = {"SSE2": True, "AVX512F": False, "AVX2": True}
+    assert bench_pairs.cpu_dispatch(features) == ["SSE2", "AVX2"]
+    from numpy._core._multiarray_umath import __cpu_features__
+    assert set(bench_pairs.cpu_dispatch(__cpu_features__)) <= set(__cpu_features__)
+
+
 def test_layouts_differ_in_length_and_sides_do_not():
     # each layout's directories sit at one path length on both sides
     assert len({len(name) for name in bench_pairs.LAYOUTS}) == len(bench_pairs.LAYOUTS)

@@ -1,10 +1,14 @@
+import ctypes
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+import test_golden_outputs as golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bisect, dense_newton_full, thomas_numpy
+from oracles import bisect, dense_newton_full, thomas_fused, thomas_numpy
 
 from cryostef import cli, constitutive, solve
 from cryostef.config import load_config
@@ -124,6 +128,166 @@ class TestThomas:
         got = thomas_solve(diag, off, rhs)
         assert np.isnan(expected).all()
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def _bits(values):
+    # float bit patterns: -0.0 differs from 0.0, and NaN equals itself
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.fixture(scope="module")
+def lapack():
+    # the bundled dgtsv, looked up and checked by a first solve
+    thomas_solve(np.array([2.0, 2.0]), np.array([-1.0]), np.array([1.0, 1.0]))
+    if not solve._dgtsv:
+        pytest.skip("numpy bundles no dgtsv that gives the loop's bits here")
+    return solve._dgtsv
+
+
+class CountingLoop:
+    """Stands in for the float loop and counts the systems routed to it."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.loop = solve._thomas_loop
+        monkeypatch.setattr(solve, "_thomas_loop", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.loop(*args)
+
+
+class TestLapackRoute:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        rhs_scale=st.floats(1e-6, 1e6),
+    )
+    def test_spd_draws_take_the_fast_path(self, lapack, n, seed, rhs_scale):
+        # the draws of TestThomas.test_bit_identical_to_numpy_loop: every
+        # system of two or more rows is solved by dgtsv, with the loop's bits
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-1.0, 1.0, size=n - 1)
+        bound = np.zeros(n)
+        bound[:-1] += np.abs(off)
+        bound[1:] += np.abs(off)
+        diag = bound + rng.uniform(1e-3, 10.0, size=n)
+        rhs = rhs_scale * rng.standard_normal(n)
+        with pytest.MonkeyPatch.context() as mp:
+            loop = CountingLoop(mp)
+            got = thomas_solve(diag, off, rhs)
+        assert loop.calls == (n == 1)
+        assert _bits(got) == _bits(thomas_numpy(diag, off, rhs))
+
+    @pytest.mark.parametrize(
+        "diag, off, rhs",
+        [
+            # refused before the call: one row, non-finite matrix data
+            ([2.0], [], [1.0]),
+            ([math.nan, 1.0], [0.5], [1.0, 1.0]),
+            ([2.0, 2.0], [math.inf], [1.0, 1.0]),
+            ([math.inf, math.inf], [math.inf], [1.0, 1.0]),
+            # dgtsv interchanges rows 0 and 1, or its pivot collapses
+            ([0.0, 1.0], [1.0], [1.0, 1.0]),
+            ([1.0, 1.0], [1.0], [1.0, 1.0]),
+            ([2.0, 1e-16, 3.0], [1e-9, 1.0], [1.0, 1.0, 1.0]),
+            # pivots below the loop's bound with no interchange, first and last
+            ([1e-16, 1.0], [1e-17], [1.0, 1.0]),
+            ([1.0, 2e-16], [1e-8], [1.0, 1.0]),
+            # a NaN or infinite right-hand side: dgtsv's 0 * x[2] is NaN
+            ([1.0, 1.0, 1.0], [0.1, 0.1], [1.0, 1.0, math.inf]),
+            ([1.0, 1.0, 1.0], [0.1, 0.1], [1.0, math.nan, 1.0]),
+            # dgtsv's -0.0 - 0 * x[2] is +0.0 where the loop keeps -0.0
+            ([2.0, 2.0, 2.0], [1.0, 0.0], [-0.0, 0.0, -1.0]),
+        ],
+    )
+    def test_refused_systems_go_to_the_loop(self, lapack, monkeypatch, diag, off, rhs):
+        diag, off, rhs = np.array(diag), np.array(off), np.array(rhs)
+        loop = CountingLoop(monkeypatch)
+        with np.errstate(all="ignore"):
+            try:
+                expected = _bits(thomas_numpy(diag, off, rhs))
+            except SingularJacobian as err:
+                expected = str(err)
+        try:
+            got = _bits(thomas_solve(diag, off, rhs))
+        except SingularJacobian as err:
+            got = str(err)
+        assert loop.calls == 1
+        assert got == expected
+
+    def test_concurrent_solves_keep_their_bits(self, lapack):
+        # threads solving systems of one size share its buffers
+        rng = np.random.default_rng(7)
+        systems = []
+        for _ in range(6):
+            off = rng.uniform(-1.0, 0.0, size=99)
+            diag = 2.5 + rng.uniform(0.0, 1.0, size=100)
+            rhs = rng.standard_normal(100)
+            systems.append((diag, off, rhs, _bits(thomas_numpy(diag, off, rhs))))
+        wrong = []
+
+        def solve_many(diag, off, rhs, expected):
+            for _ in range(300):
+                if _bits(thomas_solve(diag, off, rhs)) != expected:
+                    wrong.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve_many, args=s) for s in systems]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    @pytest.mark.parametrize(
+        "case", sorted(c for c, (mode, *_) in golden.CASES.items() if mode == "pde")
+    )
+    def test_golden_outputs_without_the_library(self, monkeypatch, tmp_path, case):
+        monkeypatch.setattr(solve, "_bundled_dgtsv", lambda: None)
+        monkeypatch.setattr(solve, "_dgtsv", None)
+        assert golden.outputs(tmp_path, *golden.CASES[case]) == golden.DIGESTS[case]
+        assert solve._dgtsv is False
+
+    def test_fast_kernel_guard_without_the_library(self, monkeypatch):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solve, "_bundled_dgtsv", lambda: None)
+            mp.setattr(solve, "_dgtsv", None)
+            TestFastKernelGuard().test_solve_kernel_changes_no_bits(monkeypatch)
+            assert solve._dgtsv is False
+
+    @pytest.mark.parametrize("fused", [{"pivot"}, {"rhs"}, {"back"}])
+    def test_self_check_tells_a_fused_multiply_add_apart(self, fused):
+        # a dgtsv compiled with contraction at any one update fails the check
+        diag, off, rhs = (a.tolist() for a in solve._self_check_system())
+        plain = thomas_fused(diag, off, rhs, ())
+        assert plain == thomas_solve(*map(np.array, (diag, off, rhs))).tolist()
+        assert thomas_fused(diag, off, rhs, fused) != plain
+
+    def test_failed_self_check_leaves_the_loop(self, lapack, monkeypatch):
+        # a dgtsv that rounds one entry otherwise, as a build with fused
+        # multiply-adds would, is checked once and then never called
+        calls = []
+
+        def other_bits(*args):
+            calls.append(1)
+            lapack._fn(*args)
+            x = ctypes.c_double.from_address(args[5].value)
+            x.value = math.nextafter(x.value, math.inf)
+
+        monkeypatch.setattr(solve, "_bundled_dgtsv", lambda: other_bits)
+        monkeypatch.setattr(solve, "_dgtsv", None)
+        loop = CountingLoop(monkeypatch)
+        diag, off, rhs = np.full(5, 3.0), np.full(4, -1.0), np.arange(5.0) + 0.5
+        assert _bits(thomas_solve(diag, off, rhs)) == _bits(thomas_numpy(diag, off, rhs))
+        assert solve._dgtsv is False
+        assert (len(calls), loop.calls) == (1, 2)
 
 
 class TestNewtonFrozenA:

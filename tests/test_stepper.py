@@ -193,6 +193,26 @@ class TestStepJacobian:
                 err = np.linalg.norm(jd - (r1 - r0))
                 assert err <= 1e-6 * np.linalg.norm(delta)
 
+    def test_off_diagonal_made_once_per_assembly(self, material, rng):
+        # the Newton iterates of one outer pass share the scaled off-diagonal
+        g = Grid1D(6)
+        tau = 0.05
+        u0 = rng.uniform(-5, -1, size=6)
+        prev = TimeState(0.0, u0, np.asarray(equilibrium_fraction(u0, material.b)))
+        problem = StepProblem(
+            prev, Closure.equilibrium(), tau, np.zeros(6), material,
+            lambda v: assemble(v, material, g, 2.0, -3.0),
+        )
+        asm = problem.assemble(u0)
+        _, off = problem.jacobian(u0, asm)
+        _, again = problem.jacobian(u0 + 0.1, asm)
+        assert again is off
+        assert _bits(off) == _bits(tau * asm.off)
+        fresh = problem.assemble(u0 + 0.1)
+        _, other = problem.jacobian(u0 + 0.1, fresh)
+        assert other is not off
+        assert _bits(other) == _bits(tau * fresh.off)
+
     def test_hyst_interior_play_contributes_nothing(self, material, envelope_ii):
         u = np.array([-2.0])
         beta = float(envelope_ii.gap(u)[0])

@@ -18,11 +18,13 @@ rotating the pairs through the layouts.  Both copies run under the
 interpreter that runs this script.
 
 Each output file holds one side: provenance (nproc, CPU, Python and numpy
-versions, both revisions, a digest of the ``src/`` files measured, any
-``MALLOC_*`` environment variables, which move ``peak_rss_mb``, and any
-``PYTHON*`` ones, such as ``PYTHONDONTWRITEBYTECODE``, which moves
-``setup_s`` and ``peak_rss_mb``) and,
-per workload and for every end-to-end metric that ``BENCHMARK.json``
+versions, numpy's LAPACK build, which decides whether the tridiagonal
+solve can use ``dgtsv``, and its active CPU dispatch targets, which set
+the bits of numpy's ``exp`` and ``log``, both revisions, a digest of the
+``src/`` files measured, any ``MALLOC_*`` environment variables, which
+move ``peak_rss_mb``, and any ``PYTHON*`` ones, such as
+``PYTHONDONTWRITEBYTECODE``, which moves ``setup_s`` and ``peak_rss_mb``)
+and, per workload and for every end-to-end metric that ``BENCHMARK.json``
 names, the samples in pair order, their min, median and quartiles, and the
 number of pairs this side won (a tie counts for neither side).  Each metric
 says whether ``BENCHMARK.json`` gates it: ``write_s``, the CSV writing time
@@ -52,6 +54,9 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -141,6 +146,20 @@ def python_environment(environ):
     worker compiles ``src/`` again as it starts.
     """
     return {name: value for name, value in sorted(environ.items()) if name.startswith("PYTHON")}
+
+
+def numpy_lapack(config):
+    """Name, version and OpenBLAS configuration of the LAPACK numpy was built with.
+
+    ``config`` is ``numpy.show_config(mode="dicts")``.
+    """
+    lapack = config["Build Dependencies"]["lapack"]
+    return {key: lapack.get(key) for key in ("name", "version", "openblas configuration")}
+
+
+def cpu_dispatch(features):
+    """The CPU features numpy dispatches on, from its ``__cpu_features__`` map."""
+    return [name for name, active in features.items() if active]
 
 
 def summarize(samples, wins, unit, better):
@@ -248,6 +267,8 @@ def main(argv=None):
         "cpu_model": cpu_model(),
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
+        "numpy_lapack": numpy_lapack(np.show_config(mode="dicts")),
+        "numpy_cpu_dispatch": cpu_dispatch(__cpu_features__),
         "malloc_env": malloc_environment(os.environ),
         "python_env": python_environment(os.environ),
         "parent_sha": parent_sha,
