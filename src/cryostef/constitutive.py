@@ -10,7 +10,9 @@ branch is allowed to lag behind the thawing branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,48 +28,84 @@ TWO_CONDITION = "two-condition"
 _CALIBRATION_EPS = 1e-14
 
 
+def constant(value):
+    """``value`` as a read-only 0-d float64 array.
+
+    numpy takes such an operand in an array operation faster than a Python
+    float, which it must first resolve as a weak scalar, and computes the
+    same bits.
+    """
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO = constant(0.0)
+_ONE = constant(1.0)
+
+
+def select(mask, value, out):
+    """``np.where(mask, value, out)``, written into ``out`` when that is an array.
+
+    ``out`` must be an array the caller made and owns.  An operation on 0-d
+    operands gives a numpy scalar, which cannot be written into; ``np.where``
+    then makes the 0-d result.
+    """
+    if type(out) is not np.ndarray:
+        return np.where(mask, value, out)
+    np.copyto(out, value, where=mask)
+    return out
+
+
 def _exp(z):
-    z = np.asarray(z, dtype=float)
-    return np.where(z < EXP_FLOOR, 0.0, np.exp(np.maximum(z, EXP_FLOOR)))
+    # exp(z), exactly zero below the floor.  argmin finds the least z, or
+    # the first NaN, which hides whether any z is below the floor
+    e = np.exp(z)
+    if z.size and not z.ravel()[z.argmin()] >= EXP_FLOOR:
+        e = np.where(z < EXP_FLOOR, _ZERO, e)
+    return e
 
 
 class PointwiseLaws:
     """Every pointwise law at one temperature state ``u``, from one exponential.
 
-    ``e = exp(b*min(u, 0))`` (zero below the exp floor), the fraction and
-    the thawed mask ``u > 0`` are computed once, at construction: every
-    Newton iterate of a step reads both.  The fraction's slope, the
-    sensible energy, its slope and the conductivity all follow from them.
-    The fraction takes its thawed value 1 from ``u >= 0`` on; its slope
-    and the sensible energy switch branch only at ``u > 0``, so at the
-    kink they take the frozen-side limit.  ``m`` supplies the material
-    coefficients; the steepness is always ``b``.
+    ``e = exp(b*min(u, 0))`` (zero below the exp floor) and the thawed mask
+    ``u > 0`` are computed once, at construction: every Newton iterate of a
+    step reads both.  ``e`` is the fraction itself: for ``u >= 0`` and a
+    finite ``b`` the exponent is a zero, so ``e`` takes the thawed value 1
+    from ``u >= 0`` on.  The fraction's slope, the sensible energy, its slope
+    and the conductivity all follow from them.  The slope and the sensible
+    energy switch branch only at ``u > 0``, so at the kink they take the
+    frozen-side limit.  ``m`` supplies the material coefficients; the
+    steepness is always ``b``, a float or a 0-d array.
     """
 
     __slots__ = ("u", "b", "e", "fraction", "thawed")
 
     def __init__(self, u, b):
-        if not b > 0.0:
-            raise ValueError(f"steepness must be positive, got {b}")
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"steepness must be positive and finite, got {b}")
         u = np.asarray(u, dtype=float)
         self.u = u
         self.b = b
-        self.e = _exp(np.minimum(b * u, 0.0))
-        self.fraction = np.where(u >= 0.0, 1.0, self.e)
-        self.thawed = u > 0.0
+        self.e = self.fraction = _exp(np.minimum(b * u, _ZERO))
+        self.thawed = np.greater(u, _ZERO)
 
     def fraction_slope(self):
-        return np.where(self.thawed, 0.0, self.b * self.e)
+        return select(self.thawed, _ZERO, self.b * self.e)
 
     def capacity_energy(self, m):
-        frozen = (m.c_u - m.c_f) * (self.e - 1.0) / self.b + m.c_f * self.u
-        return np.where(self.thawed, m.c_u * self.u, frozen)
+        c = m.coefficients
+        frozen = c.c_u_less_c_f * (self.e - _ONE) / self.b + c.c_f * self.u
+        return select(self.thawed, c.c_u * self.u, frozen)
 
     def capacity_slope(self, m):
-        return np.where(self.thawed, m.c_u, (m.c_u - m.c_f) * self.e + m.c_f)
+        c = m.coefficients
+        return select(self.thawed, c.c_u, c.c_u_less_c_f * self.e + c.c_f)
 
     def conductivity(self, m):
-        return m.k_f + (m.k_u - m.k_f) * self.fraction
+        c = m.coefficients
+        return c.k_f + c.k_u_less_k_f * self.fraction
 
 
 def equilibrium_fraction(u, b):
@@ -100,6 +138,21 @@ class ScaledMaterial:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
+
+    @cached_property
+    def coefficients(self):
+        """The coefficients and the two differences the laws use, as 0-d float64 arrays."""
+        return _Coefficients(self)
+
+
+class _Coefficients:
+    __slots__ = ("b", "c_u", "c_f", "k_f", "c_u_less_c_f", "k_u_less_k_f")
+
+    def __init__(self, m):
+        self.b, self.c_u, self.c_f, self.k_f = map(constant, (m.b, m.c_u, m.c_f, m.k_f))
+        # the differences as the floats make them
+        self.c_u_less_c_f = constant(m.c_u - m.c_f)
+        self.k_u_less_k_f = constant(m.k_u - m.k_f)
 
 
 def capacity_energy(u, m):
@@ -151,9 +204,13 @@ class HysteresisEnvelope:
         inside = (theta >= self.theta0) & (theta <= 0.0)
         return np.where(inside, g_mid, self.lower(theta) if lower is None else lower)
 
-    def gap(self, theta):
-        """Width of the envelope, clipped at zero against float rounding."""
-        lower = self.lower(theta)
+    def gap(self, theta, lower=None):
+        """Width of the envelope, clipped at zero against float rounding.
+
+        ``lower`` is the lower curve at ``theta`` when the caller holds it.
+        """
+        if lower is None:
+            lower = self.lower(theta)
         return np.maximum(self.upper(theta, lower) - lower, 0.0)
 
 

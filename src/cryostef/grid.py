@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import conductivity
+from .constitutive import conductivity, constant
 
 HARMONIC = "harmonic"
 ARITHMETIC = "arithmetic"
@@ -48,19 +48,43 @@ class StiffnessAssembly:
 
     ``diag`` holds the main diagonal, ``off`` the single sub/super
     diagonal, ``bc_rhs`` the boundary data times the half-cell
-    transmissibilities (nonzero only in the first and last entries).
+    transmissibilities (nonzero only in the first and last entries), and
+    ``boundary`` those two transmissibilities, when the assembly knows them.
     """
 
     diag: np.ndarray
     off: np.ndarray
     bc_rhs: np.ndarray
+    boundary: tuple | None = None
 
     def matvec(self, x):
+        off = self.off
         y = self.diag * x
-        if self.off.size:
-            y[:-1] += self.off * x[1:]
-            y[1:] += self.off * x[:-1]
+        if off.size:
+            # y[:-1] += off*x[1:], then y[1:] += off*x[:-1], written in place
+            head, tail = y[:-1], y[1:]
+            t = off * x[1:]
+            np.add(head, t, out=head)
+            np.multiply(off, x[:-1], out=t)
+            np.add(tail, t, out=tail)
         return y
+
+    def with_boundary_data(self, ud_left, ud_right):
+        """The same matrix with ``bc_rhs`` made from new Dirichlet values."""
+        t_left, t_right = self.boundary
+        bc_rhs = _boundary_rhs(self.diag.shape[0], t_left * ud_left, t_right * ud_right)
+        return StiffnessAssembly(self.diag, self.off, bc_rhs, self.boundary)
+
+
+def _boundary_rhs(n, left, right):
+    bc_rhs = np.zeros(n)
+    bc_rhs[0] = left
+    bc_rhs[-1] = right
+    return bc_rhs
+
+
+_TWO = constant(2.0)
+_HALF = constant(0.5)
 
 
 def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None):
@@ -72,15 +96,17 @@ def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None
     the cell conductivity at ``u`` when the caller already holds it.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.num_cells,):
-        raise ValueError(f"state length {u.shape} does not match grid {grid.num_cells}")
+    n = grid.num_cells
+    if u.shape != (n,):
+        raise ValueError(f"state length {u.shape} does not match grid {n}")
     h = grid.h
     if k is None:
         k = conductivity(u, material)
+    k_lo, k_hi = k[:-1], k[1:]
     if face_average == HARMONIC:
-        k_face = 2.0 * k[:-1] * k[1:] / (k[:-1] + k[1:])
+        k_face = _TWO * k_lo * k_hi / (k_lo + k_hi)
     elif face_average == ARITHMETIC:
-        k_face = 0.5 * (k[:-1] + k[1:])
+        k_face = _HALF * (k_lo + k_hi)
     else:
         raise ValueError(f"unknown face averaging {face_average!r}")
     t_int = k_face / (h * h)
@@ -88,12 +114,12 @@ def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None
     t_right = 2.0 * k[-1] / (h * h)
 
     # each cell sums its two faces; the end cells' outer faces are the boundary ones
-    diag = np.concatenate(([t_int[0] + t_left], t_int[1:] + t_int[:-1], [t_int[-1] + t_right]))
-
-    bc_rhs = np.zeros(grid.num_cells)
-    bc_rhs[0] = t_left * ud_left
-    bc_rhs[-1] = t_right * ud_right
-    return StiffnessAssembly(diag=diag, off=-t_int, bc_rhs=bc_rhs)
+    diag = np.empty(n)
+    np.add(t_int[1:], t_int[:-1], out=diag[1:-1])
+    diag[0] = t_int[0] + t_left
+    diag[-1] = t_int[-1] + t_right
+    bc_rhs = _boundary_rhs(n, t_left * ud_left, t_right * ud_right)
+    return StiffnessAssembly(diag, -t_int, bc_rhs, (t_left, t_right))
 
 
 def boundary_transmissibilities(asm):

@@ -93,22 +93,35 @@ def thomas_solve(diag, off, rhs):
     finite data of two or more rows, no row interchange, no collapsing
     pivot, and a finite solution without a zero entry.  Any other system,
     and every system where the first-use check found other bits, goes to
-    the loop, with its messages and its NaNs.  Callers do not modify ``off``
-    in place between calls: its magnitudes are kept with the last array seen.
+    the loop, with its messages and its NaNs.  The pivot bound scales with
+    the largest entry that is a number, so a NaN in ``diag`` still lets a
+    zero pivot raise.  Callers do not modify ``off`` in place between
+    calls: its magnitudes are kept with the last array seen.
     """
     n = diag.shape[0]
     absoff, off_max = _magnitudes(off)
-    # max() keeps its first argument unless the second is larger: a NaN in
-    # diag makes the scale NaN, a NaN in off does not
-    scale = max(float(abs(diag).max()), off_max)
-    tiny = max(scale, 1.0) * 1e-15
-    if n >= 2 and math.isfinite(scale + off_max):
+    absdiag = abs(diag)
+    diag_max = _largest(absdiag)
+    if n >= 2 and math.isfinite(diag_max + off_max):
+        tiny = max(diag_max, off_max, 1.0) * 1e-15
         kernel = _dgtsv if _dgtsv is not None else _load_dgtsv()
         if kernel:
             x = kernel.solve(diag, off, absoff, rhs, tiny)
             if x is not None:
                 return x
-    return _thomas_loop(diag, off, rhs, tiny)
+    elif diag_max != diag_max:
+        # fmax passes over a NaN, which would make the bound NaN and let a
+        # zero pivot through to a division
+        diag_max = float(np.fmax.reduce(absdiag))
+    # max() keeps its first argument unless a later one is larger: a NaN in
+    # off leaves the bound alone
+    return _thomas_loop(diag, off, rhs, max(diag_max, off_max, 1.0) * 1e-15)
+
+
+def _largest(a):
+    # the largest entry of ``a``, or its first NaN: argmax takes a NaN for
+    # the maximum, and at these sizes it costs a third of a reduction
+    return float(a[a.argmax()])
 
 
 def _magnitudes(off):
@@ -118,7 +131,7 @@ def _magnitudes(off):
     key, absoff, off_max = _off_magnitudes
     if off is not key:
         absoff = abs(off)
-        off_max = float(absoff.max()) if off.size else 0.0
+        off_max = _largest(absoff) if off.size else 0.0
         _off_magnitudes = off, absoff, off_max
     return absoff, off_max
 
@@ -201,7 +214,7 @@ class _Dgtsv:
             if self._info.value:
                 return None
             np.abs(d, out=mag)
-            if not mag.min() >= tiny:
+            if not mag[mag.argmin()] >= tiny:
                 return None
             np.greater(mag_head, absoff, out=mask_head)
             if np.count_nonzero(mask_head) < n - 1:
@@ -277,7 +290,7 @@ def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None):
         budget = opts.max_inner
     u = np.asarray(u0, dtype=float)
     r = residual_fn(u)
-    history = [float(abs(r).max())]
+    history = [_largest(abs(r))]
     iters = 0
     # written so that a NaN residual is not taken as converged
     while not history[-1] <= opts.tol:
@@ -290,7 +303,7 @@ def newton_frozen_a(residual_fn, jacobian_fn, u0, opts, budget=None):
         diag, off = jacobian_fn(u)
         u = u - thomas_solve(diag, off, r)
         r = residual_fn(u)
-        history.append(float(abs(r).max()))
+        history.append(_largest(abs(r)))
         iters += 1
     return u, StepReport(1, iters, history, True)
 

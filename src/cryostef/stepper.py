@@ -26,7 +26,9 @@ from .constitutive import (
     HysteresisEnvelope,
     PointwiseLaws,
     capacity_energy,
+    constant,
     equilibrium_fraction,
+    select,
 )
 from .errors import InfeasibleState, InvalidBounds, NonConvergence
 from .grid import assemble, boundary_transmissibilities
@@ -36,6 +38,8 @@ NEQ = "neq"
 HYST = "hyst"
 
 _PACKAGE = __name__.partition(".")[0]
+
+_ZERO = constant(0.0)
 
 
 @dataclass(frozen=True)
@@ -108,16 +112,19 @@ def _closure_laws(closure, upsilon_prev, beta, tau):
         return (lambda f: f), (lambda f, fp: fp)
     if closure.kind == NEQ:
         w = 1.0 / (1.0 + tau * closure.rate)
-        c1 = 1.0 - w
+        c1 = constant(1.0 - w)
         c0 = w * upsilon_prev
         return (lambda f: c1 * f + c0), (lambda f, fp: c1 * fp)
 
     def update(f):
-        return f + np.clip(upsilon_prev - f, 0.0, beta)
+        # the array method np.clip calls: minimum(maximum(.)) would keep the
+        # other of two NaNs (a NaN upsilon_prev and a NaN gap), and so would
+        # the sum with f
+        return f + (upsilon_prev - f).clip(_ZERO, beta)
 
     def slope(f, fp):
         s = upsilon_prev - f
-        return np.where((s > 0.0) & (s < beta), 0.0, fp)
+        return select(np.greater(s, _ZERO) & np.less(s, beta), _ZERO, fp)
 
     return update, slope
 
@@ -130,35 +137,60 @@ class StepProblem:
     supplied by ``assembler``, kept as ``assemble``, and may be refreshed
     at any iterate, which is what the matrix-lagging outer loop does.
 
-    The pointwise laws and the stored energy are evaluated once per
-    iterate: the last evaluation is kept with the object it was made at and
-    reused while the same object comes back.  Iterates are therefore never
-    modified in place.  The Jacobian's off-diagonal, tau times the
-    matrix's, is likewise made once per assembly object.
+    The pointwise laws, the sensible energy and the stored energy are
+    evaluated once per iterate: the last evaluation is kept with the object
+    it was made at and reused while the same object comes back.  Iterates
+    are therefore never modified in place.  The Jacobian's diagonal and
+    off-diagonal shares of the matrix, tau times its own, are likewise made
+    once per assembly object.
+
+    ``start``, when given, is the laws and the sensible energy at ``prev.u``
+    from an earlier evaluation, as a ``StepCarry`` keeps them: the initial
+    guess starts from them, and the right-hand side, the envelope gap's
+    lower curve and the first residual read them.  The carry assumes nothing
+    of a state's ``u`` but its bytes: it keeps a copy of the accepted
+    state's bytes and hands ``start`` to a step only when ``prev.u`` holds
+    them, so a ``u`` edited in place since, or of another dtype, is
+    evaluated afresh.  The laws it keeps refer to that state's ``u`` array,
+    which a step does not modify.
     """
 
-    def __init__(self, prev, closure, tau, f_n, material, assembler):
+    def __init__(self, prev, closure, tau, f_n, material, assembler, start=None):
         self.tau = tau
+        self._tau = constant(tau)
         self.material = material
+        self._b = material.coefficients.b
         self.assemble = assembler
-        self.beta = closure.envelope.gap(prev.u) if closure.kind == HYST else None
-        self._update, self._slope = _closure_laws(closure, prev.upsilon, self.beta, tau)
-        self.initial_guess = np.array(prev.u, dtype=float, copy=True)
+        u0 = self.initial_guess = np.array(prev.u, dtype=float, copy=True)
         # holding each key keeps its id from being reused by another object
-        self._laws_at = self._energy_at = self._off_at = None
-        # the laws at the previous state also serve the first assembly and residual
-        self.rhs = (
-            tau * np.asarray(f_n, dtype=float)
-            + self.laws(self.initial_guess).capacity_energy(material)
-            + prev.upsilon
-        )
+        self._energy_at = self._matrix_at = None
+        if start is None:
+            self._laws_at = self._sensible_at = None
+        else:
+            self._laws, self._sensible = start
+            self._laws_at = self._sensible_at = u0
+        laws = self.laws(u0)
+        self.beta = None
+        if closure.kind == HYST:
+            env = closure.envelope
+            # the lower curve at prev.u is the fraction at u0 when the steepness agrees
+            self.beta = env.gap(u0, laws.fraction if env.b == material.b else None)
+        self._update, self._slope = _closure_laws(closure, prev.upsilon, self.beta, tau)
+        self.rhs = tau * np.asarray(f_n, dtype=float) + self.sensible_energy(u0) + prev.upsilon
 
     def laws(self, u):
         """The pointwise laws at ``u``, evaluated once per iterate object."""
         if u is not self._laws_at:
-            self._laws = PointwiseLaws(u, self.material.b)
+            self._laws = PointwiseLaws(u, self._b)
             self._laws_at = u
         return self._laws
+
+    def sensible_energy(self, u):
+        """The sensible energy at ``u``, once per iterate object."""
+        if u is not self._sensible_at:
+            self._sensible = self.laws(u).capacity_energy(self.material)
+            self._sensible_at = u
+        return self._sensible
 
     def closure_fraction(self, u):
         return self._update(self.laws(u).fraction)
@@ -166,46 +198,93 @@ class StepProblem:
     def energy(self, u):
         """Sensible energy plus closure fraction at ``u``, once per iterate object."""
         if u is not self._energy_at:
-            self._energy = self.laws(u).capacity_energy(self.material) + self.closure_fraction(u)
+            self._energy = self.sensible_energy(u) + self.closure_fraction(u)
             self._energy_at = u
         return self._energy
 
     def residual(self, u, asm):
-        return self.energy(u) + self.tau * (asm.matvec(u) - asm.bc_rhs) - self.rhs
+        # energy + tau*(A u - bc) - rhs, the operations in that order
+        r = asm.matvec(u)
+        np.subtract(r, asm.bc_rhs, out=r)
+        np.multiply(self._tau, r, out=r)
+        np.add(self.energy(u), r, out=r)
+        return np.subtract(r, self.rhs, out=r)
 
     def jacobian(self, u, asm):
         laws = self.laws(u)
-        diag = (
-            laws.capacity_slope(self.material)
-            + self._slope(laws.fraction, laws.fraction_slope())
-            + self.tau * asm.diag
-        )
-        if asm is not self._off_at:
-            self._off = self.tau * asm.off
-            self._off_at = asm
+        if asm is not self._matrix_at:
+            self._tau_diag = self._tau * asm.diag
+            self._off = self._tau * asm.off
+            self._matrix_at = asm
+        diag = laws.capacity_slope(self.material)
+        np.add(diag, self._slope(laws.fraction, laws.fraction_slope()), out=diag)
+        np.add(diag, self._tau_diag, out=diag)
         return diag, self._off
 
 
-def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic"):
+class StepCarry:
+    """What a run's accepted step leaves for the next: the laws and matrix at its state.
+
+    ``advance`` keeps here the laws, the sensible energy and the matrix
+    assembled at the state it accepts, with a copy of that state's bytes.
+    The next step takes them back only from a previous state that holds
+    those bytes, in the same material, grid and face average, so a state
+    whose ``u`` was edited in place is evaluated afresh.  The step makes
+    only the matrix's boundary term again, from its own boundary data.  A
+    carry holds one state's arrays at a time; pass one carry to the steps
+    of one run.
+    """
+
+    __slots__ = ("_key", "_kept")
+
+    def __init__(self):
+        self._key = self._kept = None
+
+    def keep(self, u, context, kept):
+        self._key = (u.tobytes(), u.dtype, *context)
+        self._kept = kept
+
+    def take(self, u, context):
+        """What ``keep`` kept for ``u`` in ``context``, or None."""
+        key = self._key
+        if key is None or key[1:] != (u.dtype, *context) or key[0] != u.tobytes():
+            return None
+        return self._kept
+
+
+def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic",
+            carry=None):
     """Advance one step; boundary data and source sampled at the new time.
 
     ``f_fn(t)`` returns the source at cell centers (scalar broadcasts);
     ``bc_fn(t)`` returns the pair of Dirichlet temperatures.  For
     hysteretic runs the envelope gap is computed from the previous
-    temperatures before the solve.
+    temperatures before the solve.  ``carry``, a ``StepCarry`` passed to
+    each step of a run in turn, lets a step start from what the step
+    before it evaluated at its accepted state.
     """
     if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
     t_new = prev.t + tau
     ud_left, ud_right = bc_fn(t_new)
     f_n = np.broadcast_to(np.asarray(f_fn(t_new), dtype=float), prev.u.shape)
+    context = (material, grid, face_average)
+    kept = carry.take(prev.u, context) if carry is not None else None
+    start, matrix = kept or (None, None)
+    assembled = None, None  # the last assembly's iterate, and the assembly
 
     def assembler(u):
-        # the conductivity comes from the problem's evaluation at u
-        k = problem.laws(u).conductivity(material)
-        return assemble(u, material, grid, ud_left, ud_right, face_average, k=k)
+        nonlocal assembled
+        if u is problem.initial_guess and matrix is not None:
+            asm = matrix.with_boundary_data(ud_left, ud_right)
+        else:
+            # the conductivity comes from the problem's evaluation at u
+            k = problem.laws(u).conductivity(material)
+            asm = assemble(u, material, grid, ud_left, ud_right, face_average, k=k)
+        assembled = u, asm
+        return asm
 
-    problem = StepProblem(prev, closure, tau, f_n, material, assembler)
+    problem = StepProblem(prev, closure, tau, f_n, material, assembler, start)
     try:
         u_new, report = solvers.solve_step(problem, opts)
     except NonConvergence as err:
@@ -217,6 +296,9 @@ def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average=
         # collector at some later step
         problem.assemble = None
     upsilon_new = problem.closure_fraction(u_new)
+    if carry is not None:
+        start = problem.laws(u_new), problem.sensible_energy(u_new)
+        carry.keep(u_new, context, (start, assembled[1] if assembled[0] is u_new else None))
     return TimeState(t_new, u_new, np.asarray(upsilon_new, dtype=float), problem.beta), report
 
 

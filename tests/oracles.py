@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cryostef.constitutive import EXP_FLOOR, capacity_energy, conductivity, equilibrium_fraction
 from cryostef.errors import NonConvergence, SingularJacobian
@@ -309,3 +311,90 @@ class ScalarStepPerIterate:
         raise NonConvergence(
             f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)
         )
+
+
+# ---------------------------------------------------------------------------
+# The pointwise laws, the closures' fraction updates and the assembly written
+# with one np.where or np.clip per branch, Python-float operands and fresh
+# arrays.  The production forms compute the same IEEE operations in the same
+# order through other calls, and must give these bits, NaN payloads included.
+
+def _exp_floored(z):
+    return np.where(z < -700.0, 0.0, np.exp(np.maximum(z, -700.0)))
+
+
+def pointwise_laws(u, b, c_u, c_f, k_u, k_f):
+    """Every field and law of ``PointwiseLaws`` at ``u``, by name."""
+    u = np.asarray(u, dtype=float)
+    e = _exp_floored(np.minimum(b * u, 0.0))
+    thawed = u > 0.0
+    fraction = np.where(u >= 0.0, 1.0, e)
+    return {
+        "e": e,
+        "fraction": fraction,
+        "thawed": thawed,
+        "fraction_slope": np.where(thawed, 0.0, b * e),
+        "capacity_energy": np.where(thawed, c_u * u, (c_u - c_f) * (e - 1.0) / b + c_f * u),
+        "capacity_slope": np.where(thawed, c_u, (c_u - c_f) * e + c_f),
+        "conductivity": k_f + (k_u - k_f) * fraction,
+    }
+
+
+def hysteretic_update(f, fp, upsilon_prev, beta):
+    """The clamped fraction f + clip(prev - f, 0, beta) and its slope in f's slope ``fp``."""
+    s = upsilon_prev - f
+    return f + np.clip(s, 0.0, beta), np.where((s > 0.0) & (s < beta), 0.0, fp)
+
+
+def kinetic_update(f, fp, upsilon_prev, tau, rate):
+    """The relaxed fraction (1 - w)*f + w*prev, w = 1/(1 + tau*rate), and its slope."""
+    w = 1.0 / (1.0 + tau * rate)
+    return (1.0 - w) * f + w * upsilon_prev, (1.0 - w) * fp
+
+
+def tridiagonal_assembly(k, h, ud_left, ud_right, face_average="harmonic"):
+    """(diag, off, bc_rhs) of the diffusion matrix from cell conductivities ``k``."""
+    if face_average == "harmonic":
+        k_face = 2.0 * k[:-1] * k[1:] / (k[:-1] + k[1:])
+    else:
+        k_face = 0.5 * (k[:-1] + k[1:])
+    t_int = k_face / (h * h)
+    t_left = 2.0 * k[0] / (h * h)
+    t_right = 2.0 * k[-1] / (h * h)
+    diag = np.concatenate(([t_int[0] + t_left], t_int[1:] + t_int[:-1], [t_int[-1] + t_right]))
+    bc_rhs = np.zeros(len(k))
+    bc_rhs[0] = t_left * ud_left
+    bc_rhs[-1] = t_right * ud_right
+    return diag, -t_int, bc_rhs
+
+
+def tridiagonal_matvec(diag, off, x):
+    """The symmetric tridiagonal product, off-diagonal terms added above then below."""
+    y = diag * x
+    if off.size:
+        y[:-1] += off * x[1:]
+        y[1:] += off * x[:-1]
+    return y
+
+
+def cell_values(b=1.0):
+    """Draws for one cell: any float, NaN and subnormals included, weighted toward
+    signed zeros, infinities, the kink and ``b*u`` at and around the exp floor."""
+    floor = -700.0 / b
+    special = st.sampled_from([
+        0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, -2.2e-308,
+        1.0, -1.0, floor, math.nextafter(floor, 0.0), math.nextafter(floor, -math.inf),
+        2.0 * floor, 0.5 * floor,
+    ])
+    return st.one_of(special, st.floats(-10.0, 10.0), st.floats())
+
+
+def cell_arrays(elements, shapes=((), (0,), (1,), (2,), (7,), (40,), (3, 5))):
+    """0-d, empty, 1-D and 2-D float arrays of ``elements``."""
+    return st.sampled_from(shapes).flatmap(lambda shape: arrays(float, shape, elements=elements))
+
+
+def bits(values):
+    """Shape and float bit patterns: -0.0 differs from 0.0, NaN payloads count."""
+    a = np.asarray(values, dtype=float)
+    return a.shape, a.view(np.int64).tolist()

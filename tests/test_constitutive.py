@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import bits, cell_arrays, cell_values, pointwise_laws
 from scipy.integrate import quad
 
 from cryostef.constitutive import (
@@ -289,3 +290,58 @@ class TestPointwiseLaws:
         at_kink = u == 0.0
         assert np.all(shared["fraction"][at_kink] == 1.0)
         assert np.all(shared["fraction_slope"][at_kink] == m.b)
+
+
+@st.composite
+def _any_states(draw):
+    b = draw(st.one_of(st.sampled_from([1.0, 0.5, 3.0]), st.floats(1e-3, 1e3)))
+    u = draw(cell_arrays(cell_values(b)))
+    m = ScaledMaterial(b=b, c_u=draw(_positive), c_f=draw(_positive), k_u=draw(_positive),
+                       k_f=draw(_positive))
+    return u, m
+
+
+class TestLawsAsWritten:
+    @settings(max_examples=400, deadline=None)
+    @given(_any_states(), st.booleans())
+    def test_every_law_has_the_bits_of_its_where_form(self, state, b_as_array):
+        # special values in every cell, on 0-d, 1-D and 2-D states, with the
+        # steepness as a float or as the 0-d array the stepper passes
+        u, m = state
+        b = m.coefficients.b if b_as_array else m.b
+        with np.errstate(all="ignore"):
+            want = pointwise_laws(u, m.b, m.c_u, m.c_f, m.k_u, m.k_f)
+            laws = PointwiseLaws(u, b)
+            got = {
+                "e": laws.e,
+                "fraction": laws.fraction,
+                "fraction_slope": laws.fraction_slope(),
+                "capacity_energy": laws.capacity_energy(m),
+                "capacity_slope": laws.capacity_slope(m),
+                "conductivity": laws.conductivity(m),
+            }
+            public = {
+                "fraction": equilibrium_fraction(u, m.b),
+                "fraction_slope": fraction_derivative(u, m.b),
+                "capacity_energy": capacity_energy(u, m),
+                "capacity_slope": capacity_derivative(u, m),
+                "conductivity": conductivity(u, m),
+            }
+        assert laws.thawed.shape == want["thawed"].shape
+        assert laws.thawed.tolist() == want["thawed"].tolist()
+        for name, value in got.items():
+            assert bits(value) == bits(want[name]), name
+        for name, value in public.items():
+            assert bits(value) == bits(want[name]), name
+
+    @pytest.mark.parametrize("u", [-800.0, np.array(-800.0), np.full((301, 100), -800.0)])
+    def test_below_the_floor_is_exactly_zero(self, u):
+        # scalar, 0-d and a (steps, cells) block, as criterion 9 evaluates one
+        got = equilibrium_fraction(u, 1.0)
+        assert bits(got) == bits(np.zeros(np.shape(u)))
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan, 0.0, -1.0])
+    def test_steepness_must_be_positive_and_finite(self, b):
+        # an infinite b would make b*0 NaN, where the fraction must read 1
+        with pytest.raises(ValueError, match="steepness must be positive and finite"):
+            PointwiseLaws(np.zeros(3), b)

@@ -10,9 +10,13 @@ meant to move outputs re-records them (run this file as a script to print
 the digests of the current tree) and says why in CHANGES.md.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -20,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from cryostef.cli import main
+from cryostef.cli import main, simulate_pde
+from cryostef.config import load_config
+from cryostef.solve import SolverOptions
 
 CASES = {
     "pde-eq": ("pde", "closure = eq\nM = 100\nT = 0.3\nout_times = 0.1,0.2,0.3\n"),
@@ -167,7 +173,94 @@ def test_outputs_keep_their_bytes(case, tmp_path):
     assert outputs(tmp_path, *CASES[case]) == DIGESTS[case]
 
 
+# numpy picks its exp and log loops by CPU feature at import.  With these
+# targets switched off an AVX-512 CPU runs the loops of one without them,
+# whose exp rounds some values otherwise, so the cases that call np.exp
+# write other bytes; the cases left out write the same bytes under both
+DISPATCH_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+DIGESTS_DISPATCH_OFF = {
+    "calibrate": {
+        "exit": 0,
+        "stdout": "f7a268440bb65eff0e0ab4fb314604f6b8de9b30693a8878355b81786a804ed9",
+        "envelope.csv": "eab32bec1262b0f47ea2b219ff5bdd94abe66835622d2e65f7bfaf18dde2f908",
+    },
+    "pde-eq": {
+        "exit": 0,
+        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "iterations.csv": "ef287a9bce87156bff69d6ed0859fc3cb4e13595f941dd3af7c646668a2f9f28",
+        "phase.csv": "2107346968583b6b841259a30c3c6cf0884e82ea320ae5b52587160aacc866f9",
+        "snapshots.csv": "8ffc24fe97ca59697e7fcaad391cff478b9dd2d635ce82bee085b0aab7d3819b",
+        "summary.csv": "632ebca69bd31cff710627b7f3b2a3cc0665461175b90fdf839ec84d93cd95bf",
+    },
+    "pde-hyst": {
+        "exit": 0,
+        "stdout": "faf395614738ba0029825d790e6d695c511b4c693e410398503b9ce2af58208b",
+        "iterations.csv": "8ca426c8200d1400d3c9c08715910f2be82a43264b647302d612b6088f05af38",
+        "phase.csv": "d902666d30af5542860c590cb09dedac3e7b2e16d455a22abaa45103a0ab5b37",
+        "snapshots.csv": "b539d2b3bdd6b46e161cc92ce036ced9acb02a24ed518df2081606c35775c4ca",
+        "summary.csv": "aba63a0722d3b98cc5f47eb196ee55d5da5b0d8753fa314898d083347af40648",
+    },
+    "pde-neq": {
+        "exit": 0,
+        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "iterations.csv": "7033a7b3ff4a42873d51f044acf9959bdc123f4530e0d3ef5f8843265eefeabd",
+        "phase.csv": "b6d55c5478ee7a5f8c8f21bb740c6a1b21961f02deeb79120ebbb0462cece9c1",
+        "snapshots.csv": "44ef174d7c6f32a31d75a7c583713c8326231cbfd181ef6f4e4157a6ccbda7a1",
+        "summary.csv": "9b3df6a59dfab7bbc5fad01952c6e2f40d7a559d4d4608d78194057fc9e28503",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def outputs_dispatch_off():
+    # one interpreter started with the targets off runs every case below
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=DISPATCH_OFF)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, __file__, *sorted(DIGESTS_DISPATCH_OFF)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return ast.literal_eval("{" + proc.stdout + "}")
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS_DISPATCH_OFF))
+def test_outputs_keep_their_bytes_with_dispatch_targets_off(case, outputs_dispatch_off):
+    assert outputs_dispatch_off[case] == DIGESTS_DISPATCH_OFF[case]
+
+
+def reference_run_digest(closure):
+    """sha256 over the pde reference run (M = 100, tau = 0.01, T = 3) of ``closure``.
+
+    Every state's u and chi bytes, then every report's outer and inner
+    counts and residual history.
+    """
+    run = simulate_pde(load_config(None, "pde", overrides={"closure": closure}), SolverOptions())
+    assert len(run.states) == 301
+    digest = hashlib.sha256()
+    for state in run.states:
+        digest.update(state.u.tobytes() + state.upsilon.tobytes())
+    for r in run.reports:
+        digest.update(repr((r.outer_iters, r.inner_iters_total, r.residual_history)).encode())
+    return digest.hexdigest()
+
+
+# the golden pde cases stop at T = 0.3: these runs reach the refreeze and
+# carry each step's state through 300 steps
+REFERENCE_RUN_DIGESTS = {
+    "eq": "c0cc7aab8d80e77724613040d02ee4c25e64602698090e07d8406c486a6398eb",
+    "hyst": "321d18da6b375cc2e78baacbcc055ccf04316e4811a4fcb031c67e28f3702d53",
+    "neq": "8dabe15fc2d8793a20946e8901c5d162a0e2db93341bad3dbb764af3f086d110",
+}
+
+
+@pytest.mark.parametrize("closure", sorted(REFERENCE_RUN_DIGESTS))
+def test_reference_runs_keep_their_bits(closure):
+    assert reference_run_digest(closure) == REFERENCE_RUN_DIGESTS[closure]
+
+
 if __name__ == "__main__":
-    for case in sorted(CASES):
+    # the digests of the current tree: of the cases named, or of every case
+    for case in sys.argv[1:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as work_dir:
             sys.stdout.write(f"    {case!r}: {outputs(work_dir, *CASES[case])!r},\n")

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import bits, cell_values, tridiagonal_assembly, tridiagonal_matvec
 
 from cryostef.constitutive import ScaledMaterial
-from cryostef.grid import Grid1D, assemble, boundary_transmissibilities
+from cryostef.grid import Grid1D, StiffnessAssembly, assemble, boundary_transmissibilities
 
 
 def dense_matrix(asm):
@@ -136,3 +140,36 @@ class TestAssemble:
         rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
         assert all(1.8 <= r <= 2.2 for r in rates)
 
+
+class TestAssemblyAsWritten:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        face_average=st.sampled_from(["harmonic", "arithmetic"]),
+        data=st.data(),
+    )
+    def test_assembly_has_the_bits_of_its_concatenation(self, n, face_average, data):
+        # any cell conductivities and boundary values, special ones included;
+        # the same matrix with other boundary data changes bc_rhs alone
+        k = data.draw(arrays(float, n, elements=cell_values()))
+        ud = [data.draw(cell_values()) for _ in range(4)]
+        material = ScaledMaterial(b=1.0, c_u=1.0, c_f=1.0, k_u=1.0, k_f=1.0)
+        grid = Grid1D(n)
+        with np.errstate(all="ignore"):
+            asm = assemble(np.zeros(n), material, grid, ud[0], ud[1], face_average, k=k)
+            again = asm.with_boundary_data(ud[2], ud[3])
+            want = tridiagonal_assembly(k, grid.h, ud[0], ud[1], face_average)
+            want_again = tridiagonal_assembly(k, grid.h, ud[2], ud[3], face_average)
+        assert [bits(a) for a in (asm.diag, asm.off, asm.bc_rhs)] == [bits(a) for a in want]
+        assert again.diag is asm.diag and again.off is asm.off
+        assert bits(again.bc_rhs) == bits(want_again[2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_matvec_has_the_bits_of_its_slice_updates(self, n, data):
+        diag, x = (data.draw(arrays(float, n, elements=cell_values())) for _ in range(2))
+        off = data.draw(arrays(float, n - 1, elements=cell_values()))
+        with np.errstate(all="ignore"):
+            got = StiffnessAssembly(diag, off, np.zeros(n)).matvec(x)
+            want = tridiagonal_matvec(diag, off, x)
+        assert bits(got) == bits(want)

@@ -5,9 +5,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ScalarStepPerIterate, _scalar_envelope_gap, bisect, dense_step_residual
+from hypothesis.extra.numpy import arrays
+from oracles import (
+    ScalarStepPerIterate,
+    _scalar_envelope_gap,
+    bisect,
+    bits,
+    cell_arrays,
+    cell_values,
+    dense_step_residual,
+    hysteretic_update,
+    kinetic_update,
+    pointwise_laws,
+    tridiagonal_matvec,
+)
 
 from cryostef import cli
 from cryostef import stepper as stepper_module
@@ -27,8 +40,10 @@ from cryostef.solve import SolverOptions, solve_step
 from cryostef.stepper import (
     Closure,
     ScalarOdeStepper,
+    StepCarry,
     StepProblem,
     TimeState,
+    _closure_laws,
     _envelope_gap,
     advance,
     closure_fraction,
@@ -232,6 +247,105 @@ class TestStepJacobian:
         assert float(diag_eq[0] - diag[0]) == pytest.approx(fp, abs=1e-14)
 
 
+def _gap_values():
+    # an envelope gap: maximum(upper - lower, 0) is a signed zero, positive,
+    # infinite or NaN
+    special = st.sampled_from([0.0, -0.0, math.inf, math.nan, -math.nan, 5e-324])
+    return st.one_of(special, st.floats(0.0, 2.0), st.floats(min_value=0.0))
+
+
+@st.composite
+def _clamp_inputs(draw):
+    # the fraction and its slope from the laws at any state, as the stepper
+    # passes them, and any previous fraction and gap of that shape
+    u = draw(cell_arrays(cell_values()))
+    with np.errstate(all="ignore"):
+        laws = PointwiseLaws(u, 1.0)
+        f, fp = laws.fraction, laws.fraction_slope()
+    shape = np.shape(u)
+    prev = draw(arrays(float, shape, elements=cell_values()))
+    beta = draw(arrays(float, shape, elements=_gap_values()))
+    return f, fp, prev, beta
+
+
+class TestClosureLawsAsWritten:
+    @settings(max_examples=400, deadline=None)
+    @given(_clamp_inputs())
+    @example((np.array(1.0), np.array(1.0), np.array(-math.nan), np.array(math.nan)))
+    @example((np.array(1.0), np.array(1.0), np.array(math.nan), np.array(-math.nan)))
+    @example((np.array(0.0), np.array(1.0), np.array(-0.0), np.array(0.0)))
+    def test_hysteretic_clamp_has_the_bits_of_clip(self, inputs):
+        # a clamp by maximum and minimum would put -0.0 where clip puts +0.0,
+        # which the sum with the fraction (never -0.0) hides, but would keep
+        # the gap's NaN where clip keeps the previous fraction's
+        f, fp, prev, beta = inputs
+        update, slope = _closure_laws(
+            Closure.hysteresis(calibrate_envelope(1.0, 0.01, -5.0)), prev, beta, 0.01
+        )
+        with np.errstate(all="ignore"):
+            want = hysteretic_update(f, fp, prev, beta)
+            got = update(f), slope(f, fp)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_clamp_inputs(), st.sampled_from([0.1, 0.01, 0.001]), st.floats(1e-3, 1e6))
+    def test_kinetic_update_has_the_bits_of_its_formula(self, inputs, tau, rate):
+        f, fp, prev, _ = inputs
+        update, slope = _closure_laws(Closure.kinetic(rate), prev, None, tau)
+        with np.errstate(all="ignore"):
+            want = kinetic_update(f, fp, prev, tau, rate)
+            got = update(f), slope(f, fp)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["eq", "neq", "hyst"]),
+        n=st.integers(2, 30),
+        data=st.data(),
+    )
+    def test_residual_and_jacobian_have_the_bits_of_their_formulas(self, kind, n, data):
+        # energy + tau*(A u - bc) - rhs and capacity slope + closure slope +
+        # tau*diag, composed from the where-form laws, at any states
+        material = ScaledMaterial(b=1.0, c_u=2.94e-2, c_f=2.21e-2, k_u=1.51e-2, k_f=2.06e-2)
+        env = calibrate_envelope(1.0, 0.01, -5.0)
+        closure = {
+            "eq": Closure.equilibrium(),
+            "neq": Closure.kinetic(5.0),
+            "hyst": Closure.hysteresis(env),
+        }[kind]
+        draw_cells = arrays(float, n, elements=cell_values())
+        u_prev, ups_prev, u, f_n = (data.draw(draw_cells) for _ in range(4))
+        tau = 0.01
+        with np.errstate(all="ignore"):
+            asm = assemble(u, material, Grid1D(n), 5.0, -5.0)
+            problem = frozen_problem(TimeState(0.0, u_prev, ups_prev), closure, asm, f_n, tau,
+                                     material)
+            got_r = problem.residual(u, asm)
+            got_d, got_o = problem.jacobian(u, asm)
+
+            coefficients = (material.b, material.c_u, material.c_f, material.k_u, material.k_f)
+            at_prev = pointwise_laws(u_prev, *coefficients)
+            at_u = pointwise_laws(u, *coefficients)
+            f, fp = at_u["fraction"], at_u["fraction_slope"]
+            if kind == "eq":
+                ups, slope = f, fp
+            elif kind == "neq":
+                ups, slope = kinetic_update(f, fp, ups_prev, tau, 5.0)
+            else:
+                lower = at_prev["fraction"]
+                beta = np.maximum(env.upper(u_prev, lower) - lower, 0.0)
+                ups, slope = hysteretic_update(f, fp, ups_prev, beta)
+            rhs = tau * f_n + at_prev["capacity_energy"] + ups_prev
+            energy = at_u["capacity_energy"] + ups
+            want_r = energy + tau * (tridiagonal_matvec(asm.diag, asm.off, u) - asm.bc_rhs) - rhs
+            want_d = at_u["capacity_slope"] + slope + tau * asm.diag
+        assert bits(got_r) == bits(want_r)
+        assert bits(got_d) == bits(want_d)
+        assert bits(got_o) == bits(tau * asm.off)
+
+
 NAN = float("nan")
 
 
@@ -365,6 +479,54 @@ class TestAdvance:
                 prev, state, material, g, bc(state.t), np.full(40, 0.1), 0.01,
             )
             assert abs(defect) <= 1e-8
+
+
+class TestStepCarry:
+    def march(self, monkeypatch, closure, carry, edit_after=None, steps=6):
+        # six reference steps at M = 50; after step ``edit_after`` one cell of
+        # the state moves by one ulp in place.  Records each state's bits,
+        # each report, and whether each step took what the carry kept
+        material = ScaledMaterial(b=1.0, c_u=2.94e-2, c_f=2.21e-2, k_u=1.51e-2, k_f=2.06e-2)
+        grid = Grid1D(50)
+        u0 = np.full(50, -5.0)
+        state = TimeState(0.0, u0, np.asarray(equilibrium_fraction(u0, 1.0)))
+        taken = []
+        take = StepCarry.take
+
+        def recording_take(self, u, context):
+            kept = take(self, u, context)
+            taken.append(kept is not None)
+            return kept
+
+        monkeypatch.setattr(StepCarry, "take", recording_take)
+        rows = []
+        for n in range(steps):
+            state, rep = advance(
+                state, 0.01, closure, material, grid, lambda t: 0.0, lambda t: (5.0, -5.0),
+                SolverOptions(), carry=carry,
+            )
+            if n == edit_after:
+                state.u[7] = np.nextafter(state.u[7], 0.0)
+            rows.append((_bits(state.u), _bits(state.upsilon), rep.outer_iters,
+                         rep.inner_iters_total, rep.residual_history))
+        monkeypatch.undo()
+        return rows, taken
+
+    @pytest.mark.parametrize("kind", ["eq", "neq", "hyst"])
+    def test_state_edited_in_place_is_evaluated_afresh(self, monkeypatch, kind):
+        closure = {
+            "eq": Closure.equilibrium(),
+            "neq": Closure.kinetic(5.0),
+            "hyst": Closure.hysteresis(calibrate_envelope(1.0, 0.01, -5.0)),
+        }[kind]
+        carried, taken = self.march(monkeypatch, closure, StepCarry(), edit_after=2)
+        fresh, _ = self.march(monkeypatch, closure, None, edit_after=2)
+        unedited, _ = self.march(monkeypatch, closure, StepCarry())
+        # the step after the edit takes nothing kept, every other but the first does
+        assert taken == [False, True, True, False, True, True]
+        assert carried == fresh
+        # the edit moved the steps after it, so stale laws or a stale matrix would show
+        assert carried[3:] != unedited[3:]
 
 
 class TestInitialFraction:
