@@ -20,7 +20,7 @@ from .errors import (
 from .grid import Grid1D, StiffnessAssembly, assemble
 from .play import ConstraintInterval, drive_play, play_step, resolvent
 from .solve import SolverOptions, StepReport
-from .stepper import Closure, StepCarry, TimeState, advance
+from .stepper import Closure, TimeState, advance
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "ScaledMaterial",
     "SingularJacobian",
     "SolverOptions",
-    "StepCarry",
     "StepReport",
     "StiffnessAssembly",
     "TimeState",

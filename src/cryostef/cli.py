@@ -46,7 +46,6 @@ from .solve import SolverOptions
 from .stepper import (
     Closure,
     ScalarOdeStepper,
-    StepCarry,
     StepProblem,
     TimeState,
     advance,
@@ -135,12 +134,11 @@ def simulate_pde(cfg, opts, strict_init=False):
     sources = []
     bcs = []
     n_steps = int(round(cfg.T / cfg.tau))
-    carry = StepCarry()
     for n in range(1, n_steps + 1):
         try:
             state, report = advance(
                 state, cfg.tau, closure, material, grid, f_fn, bc_fn, opts,
-                face_average=cfg.face_average, carry=carry,
+                face_average=cfg.face_average,
             )
         except NonConvergence as err:
             err.step = n

@@ -61,7 +61,8 @@ def _exp(z):
     # exp(z), exactly zero below the floor.  argmin finds the least z, or
     # the first NaN, which hides whether any z is below the floor
     e = np.exp(z)
-    if z.size and not z.ravel()[z.argmin()] >= EXP_FLOOR:
+    if not z.ndim or (z.size and not z.ravel()[z.argmin()] >= EXP_FLOOR):
+        # np.where also makes a 0-d array of the scalar exp gives a 0-d z
         e = np.where(z < EXP_FLOOR, _ZERO, e)
     return e
 
@@ -136,8 +137,8 @@ class ScaledMaterial:
     def __post_init__(self):
         for name in ("b", "c_u", "c_f", "k_u", "k_f"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @cached_property
     def coefficients(self):

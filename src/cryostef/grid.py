@@ -120,8 +120,3 @@ def assemble(u, material, grid, ud_left, ud_right, face_average=HARMONIC, k=None
     diag[-1] = t_int[-1] + t_right
     bc_rhs = _boundary_rhs(n, t_left * ud_left, t_right * ud_right)
     return StiffnessAssembly(diag, -t_int, bc_rhs, (t_left, t_right))
-
-
-def boundary_transmissibilities(asm):
-    """Recover (t_left, t_right) from a matrix assembled on two or more cells."""
-    return asm.diag[0] + asm.off[0], asm.diag[-1] + asm.off[-1]

@@ -31,7 +31,7 @@ from .constitutive import (
     select,
 )
 from .errors import InfeasibleState, InvalidBounds, NonConvergence
-from .grid import assemble, boundary_transmissibilities
+from .grid import assemble
 
 EQ = "eq"
 NEQ = "neq"
@@ -145,14 +145,14 @@ class StepProblem:
     once per assembly object.
 
     ``start``, when given, is the laws and the sensible energy at ``prev.u``
-    from an earlier evaluation, as a ``StepCarry`` keeps them: the initial
-    guess starts from them, and the right-hand side, the envelope gap's
-    lower curve and the first residual read them.  The carry assumes nothing
-    of a state's ``u`` but its bytes: it keeps a copy of the accepted
-    state's bytes and hands ``start`` to a step only when ``prev.u`` holds
-    them, so a ``u`` edited in place since, or of another dtype, is
-    evaluated afresh.  The laws it keeps refer to that state's ``u`` array,
-    which a step does not modify.
+    from an earlier evaluation, as ``advance`` carries them from the step
+    before: the initial guess starts from them, and the right-hand side,
+    the envelope gap's lower curve and the first residual read them.  The
+    carry assumes nothing of a state's ``u`` but its bytes: it keeps a copy
+    of the accepted state's bytes and hands ``start`` to a step only when
+    ``prev.u`` holds them, so a ``u`` edited in place since, or of another
+    dtype, is evaluated afresh.  The laws it keeps refer to that state's
+    ``u`` array, which a step does not modify.
     """
 
     def __init__(self, prev, closure, tau, f_n, material, assembler, start=None):
@@ -222,55 +222,40 @@ class StepProblem:
         return diag, self._off
 
 
-class StepCarry:
-    """What a run's accepted step leaves for the next: the laws and matrix at its state.
-
-    ``advance`` keeps here the laws, the sensible energy and the matrix
-    assembled at the state it accepts, with a copy of that state's bytes.
-    The next step takes them back only from a previous state that holds
-    those bytes, in the same material, grid and face average, so a state
-    whose ``u`` was edited in place is evaluated afresh.  The step makes
-    only the matrix's boundary term again, from its own boundary data.  A
-    carry holds one state's arrays at a time; pass one carry to the steps
-    of one run.
-    """
-
-    __slots__ = ("_key", "_kept")
-
-    def __init__(self):
-        self._key = self._kept = None
-
-    def keep(self, u, context, kept):
-        self._key = (u.tobytes(), u.dtype, *context)
-        self._kept = kept
-
-    def take(self, u, context):
-        """What ``keep`` kept for ``u`` in ``context``, or None."""
-        key = self._key
-        if key is None or key[1:] != (u.dtype, *context) or key[0] != u.tobytes():
-            return None
-        return self._kept
+def _carried_for(u, context):
+    # what the last accepted step kept at its state, when ``u`` holds that
+    # state's bytes in the same material, grid and face average, else None
+    key, kept = _carried
+    if key is None or key[1:] != (u.dtype, *context) or key[0] != u.tobytes():
+        return None
+    return kept
 
 
-def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic",
-            carry=None):
+# the laws, the sensible energy and the matrix at the state the last step
+# accepted, keyed by a copy of its bytes: one state's arrays, read and
+# replaced whole, whichever run made them
+_carried = (None, None)
+
+
+def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average="harmonic"):
     """Advance one step; boundary data and source sampled at the new time.
 
     ``f_fn(t)`` returns the source at cell centers (scalar broadcasts);
     ``bc_fn(t)`` returns the pair of Dirichlet temperatures.  For
     hysteretic runs the envelope gap is computed from the previous
-    temperatures before the solve.  ``carry``, a ``StepCarry`` passed to
-    each step of a run in turn, lets a step start from what the step
-    before it evaluated at its accepted state.
+    temperatures before the solve.  A step whose ``prev.u`` holds the
+    bytes of the state the last step accepted, in the same material, grid
+    and face average, starts from the laws and the matrix evaluated there
+    and makes only the matrix's boundary term again.
     """
+    global _carried
     if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
     t_new = prev.t + tau
     ud_left, ud_right = bc_fn(t_new)
     f_n = np.broadcast_to(np.asarray(f_fn(t_new), dtype=float), prev.u.shape)
     context = (material, grid, face_average)
-    kept = carry.take(prev.u, context) if carry is not None else None
-    start, matrix = kept or (None, None)
+    start, matrix = _carried_for(prev.u, context) or (None, None)
     assembled = None, None  # the last assembly's iterate, and the assembly
 
     def assembler(u):
@@ -296,9 +281,9 @@ def advance(prev, tau, closure, material, grid, f_fn, bc_fn, opts, face_average=
         # collector at some later step
         problem.assemble = None
     upsilon_new = problem.closure_fraction(u_new)
-    if carry is not None:
-        start = problem.laws(u_new), problem.sensible_energy(u_new)
-        carry.keep(u_new, context, (start, assembled[1] if assembled[0] is u_new else None))
+    start = problem.laws(u_new), problem.sensible_energy(u_new)
+    matrix = assembled[1] if assembled[0] is u_new else None
+    _carried = (u_new.tobytes(), u_new.dtype, *context), (start, matrix)
     return TimeState(t_new, u_new, np.asarray(upsilon_new, dtype=float), problem.beta), report
 
 
@@ -361,7 +346,7 @@ def energy_balance_defect(prev, new, material, grid, bc, f_n, tau, face_average=
     """
     ud_left, ud_right = bc
     asm = assemble(new.u, material, grid, ud_left, ud_right, face_average)
-    t_left, t_right = boundary_transmissibilities(asm)
+    t_left, t_right = asm.boundary
     h = grid.h
     stored = h * float(
         np.sum(

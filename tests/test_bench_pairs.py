@@ -1,8 +1,6 @@
 """The statistics ``tools/bench_pairs.py`` writes into the BENCH files."""
 
 import importlib.util
-import json
-import statistics
 from pathlib import Path
 
 import pytest
@@ -222,37 +220,3 @@ def test_layouts_differ_in_length_and_sides_do_not():
     # each layout's directories sit at one path length on both sides
     assert len({len(name) for name in bench_pairs.LAYOUTS}) == len(bench_pairs.LAYOUTS)
     assert len({len(side) for side in bench_pairs.SIDES}) == 1
-
-
-LAYER_ROWS = {"newton_update", "pass_start", "thomas_solve", "advance"}
-
-
-def check_layer_rows(layers, sizes):
-    # a side's pooled rows: every round's repetitions, their min and median
-    assert layers["unit"] == "us" and layers["closure"] == "eq"
-    assert layers["repeats"] >= 7 and layers["sizes"] == list(sizes)
-    assert set(layers["rows"]) == LAYER_ROWS
-    for row in layers["rows"].values():
-        assert set(row) == {str(m) for m in sizes}
-        for stats in row.values():
-            assert set(stats) == {"calls", "samples", "min", "median"}
-            assert len(stats["calls"]) == layers["rounds"] and min(stats["calls"]) >= 1
-            assert len(stats["samples"]) == layers["repeats"] * layers["rounds"]
-            assert stats["min"] == min(stats["samples"]) > 0.0
-            assert stats["median"] == statistics.median(stats["samples"])
-
-
-def test_layer_rows_of_this_tree():
-    # a small grid and short repetitions: the schema, not the times
-    rounds = [bench_pairs.layer_rows(sizes=(50,), seconds=0.002) for _ in range(2)]
-    for one in rounds:
-        for row in one["rows"].values():
-            assert len(row["50"]["samples"]) == one["repeats"]
-    check_layer_rows(bench_pairs.pool_layer_rows(rounds), (50,))
-
-
-def test_committed_layer_rows_hold_both_sides():
-    record = json.loads((_PATH.parent.parent / "BENCH_12.json").read_text(encoding="utf-8"))
-    assert set(record["layers"]) == set(bench_pairs.SIDES)
-    for layers in record["layers"].values():
-        check_layer_rows(layers, bench_pairs.LAYER_SIZES)

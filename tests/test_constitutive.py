@@ -339,9 +339,26 @@ class TestLawsAsWritten:
         # scalar, 0-d and a (steps, cells) block, as criterion 9 evaluates one
         got = equilibrium_fraction(u, 1.0)
         assert bits(got) == bits(np.zeros(np.shape(u)))
+        assert type(got) is np.ndarray and got.shape == np.shape(u)
+
+    @pytest.mark.parametrize(
+        "u", [-800.0, -5.0, -0.0, 3.0, np.float64(-5.0), np.array(-5.0), np.array([-800.0, -5.0])]
+    )
+    def test_fraction_is_an_array_of_the_state_shape(self, u):
+        # above the floor or below it, a scalar state gives a 0-d array
+        got = equilibrium_fraction(u, 1.0)
+        assert type(got) is np.ndarray and got.shape == np.shape(u)
 
     @pytest.mark.parametrize("b", [math.inf, math.nan, 0.0, -1.0])
     def test_steepness_must_be_positive_and_finite(self, b):
         # an infinite b would make b*0 NaN, where the fraction must read 1
         with pytest.raises(ValueError, match="steepness must be positive and finite"):
             PointwiseLaws(np.zeros(3), b)
+
+    @pytest.mark.parametrize("name", ["b", "c_u", "c_f", "k_u", "k_f"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_material_rejects_a_coefficient_that_is_not_positive_and_finite(self, name, value):
+        # at construction, not at the first law evaluation of a run
+        coefficients = {"b": 1.0, "c_u": 1.0, "c_f": 1.0, "k_u": 1.0, "k_f": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            ScaledMaterial(**coefficients)

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import bits, cell_values, tridiagonal_assembly, tridiagonal_matvec
 
 from cryostef.constitutive import ScaledMaterial
-from cryostef.grid import Grid1D, StiffnessAssembly, assemble, boundary_transmissibilities
+from cryostef.grid import Grid1D, StiffnessAssembly, assemble
 
 
 def dense_matrix(asm):
@@ -46,7 +46,7 @@ class TestAssemble:
         assert np.allclose(asm.diag, [12.0, 12.0])
         assert np.allclose(asm.off, [-4.0])
         assert np.allclose(asm.bc_rhs, [0.0, 0.0])
-        assert boundary_transmissibilities(asm) == (8.0, 8.0)
+        assert asm.boundary == (8.0, 8.0)
 
     def test_boundary_data_in_rhs(self, unit_material):
         g = Grid1D(4)

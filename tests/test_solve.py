@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bisect, dense_newton_full, thomas_fused, thomas_numpy
 
-from cryostef import cli, constitutive, solve
+from cryostef import cli, constitutive, solve, stepper
 from cryostef.config import load_config
 from cryostef.constitutive import ScaledMaterial, capacity_energy, equilibrium_fraction
 from cryostef.errors import NonConvergence, SingularJacobian
@@ -735,7 +735,7 @@ class TestLawsOncePerIterate:
         def counting_advance(*args, **kwargs):
             counts.append(0)
             if not reuse:
-                kwargs["carry"] = None
+                monkeypatch.setattr(stepper, "_carried", (None, None))
             return advance(*args, **kwargs)
 
         def fresh_laws(self, u):
@@ -743,6 +743,8 @@ class TestLawsOncePerIterate:
 
         monkeypatch.setattr(constitutive, "_exp", counting_exp)
         monkeypatch.setattr(cli, "advance", counting_advance)
+        # a run before this one may have left its last state in the slot
+        monkeypatch.setattr(stepper, "_carried", (None, None))
         if not reuse:
             monkeypatch.setattr(StepProblem, "laws", fresh_laws)
         cfg = load_config(None, "pde", overrides={"closure": closure, "T": 0.5})

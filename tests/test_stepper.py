@@ -40,7 +40,6 @@ from cryostef.solve import SolverOptions, solve_step
 from cryostef.stepper import (
     Closure,
     ScalarOdeStepper,
-    StepCarry,
     StepProblem,
     TimeState,
     _closure_laws,
@@ -482,28 +481,32 @@ class TestAdvance:
 
 
 class TestStepCarry:
-    def march(self, monkeypatch, closure, carry, edit_after=None, steps=6):
+    def march(self, monkeypatch, closure, carry=True, edit_after=None, steps=6):
         # six reference steps at M = 50; after step ``edit_after`` one cell of
-        # the state moves by one ulp in place.  Records each state's bits,
-        # each report, and whether each step took what the carry kept
+        # the state moves by one ulp in place.  Without ``carry`` the slot is
+        # emptied before each step.  Records each state's bits, each report,
+        # and whether each step took what the step before it kept
         material = ScaledMaterial(b=1.0, c_u=2.94e-2, c_f=2.21e-2, k_u=1.51e-2, k_f=2.06e-2)
         grid = Grid1D(50)
         u0 = np.full(50, -5.0)
         state = TimeState(0.0, u0, np.asarray(equilibrium_fraction(u0, 1.0)))
         taken = []
-        take = StepCarry.take
+        carried_for = stepper_module._carried_for
 
-        def recording_take(self, u, context):
-            kept = take(self, u, context)
+        def recording_carried_for(u, context):
+            kept = carried_for(u, context)
             taken.append(kept is not None)
             return kept
 
-        monkeypatch.setattr(StepCarry, "take", recording_take)
+        monkeypatch.setattr(stepper_module, "_carried_for", recording_carried_for)
+        monkeypatch.setattr(stepper_module, "_carried", (None, None))
         rows = []
         for n in range(steps):
+            if not carry:
+                monkeypatch.setattr(stepper_module, "_carried", (None, None))
             state, rep = advance(
                 state, 0.01, closure, material, grid, lambda t: 0.0, lambda t: (5.0, -5.0),
-                SolverOptions(), carry=carry,
+                SolverOptions(),
             )
             if n == edit_after:
                 state.u[7] = np.nextafter(state.u[7], 0.0)
@@ -519,14 +522,32 @@ class TestStepCarry:
             "neq": Closure.kinetic(5.0),
             "hyst": Closure.hysteresis(calibrate_envelope(1.0, 0.01, -5.0)),
         }[kind]
-        carried, taken = self.march(monkeypatch, closure, StepCarry(), edit_after=2)
-        fresh, _ = self.march(monkeypatch, closure, None, edit_after=2)
-        unedited, _ = self.march(monkeypatch, closure, StepCarry())
+        carried, taken = self.march(monkeypatch, closure, edit_after=2)
+        fresh, _ = self.march(monkeypatch, closure, carry=False, edit_after=2)
+        unedited, _ = self.march(monkeypatch, closure)
         # the step after the edit takes nothing kept, every other but the first does
         assert taken == [False, True, True, False, True, True]
         assert carried == fresh
         # the edit moved the steps after it, so stale laws or a stale matrix would show
         assert carried[3:] != unedited[3:]
+
+    def test_another_material_grid_or_face_average_takes_nothing(self, monkeypatch):
+        # the slot is one for every run: a step of another run whose state
+        # holds the same bytes takes it only in the same context
+        material = ScaledMaterial(b=1.0, c_u=2.94e-2, c_f=2.21e-2, k_u=1.51e-2, k_f=2.06e-2)
+        other = ScaledMaterial(b=2.0, c_u=2.94e-2, c_f=2.21e-2, k_u=1.51e-2, k_f=2.06e-2)
+        u0 = np.full(50, -5.0)
+        state = TimeState(0.0, u0, np.asarray(equilibrium_fraction(u0, 1.0)))
+        monkeypatch.setattr(stepper_module, "_carried", (None, None))
+        new, _ = advance(state, 0.01, Closure.equilibrium(), material, Grid1D(50),
+                         lambda t: 0.0, lambda t: (5.0, -5.0), SolverOptions())
+        u = new.u.copy()
+        context = (material, Grid1D(50), "harmonic")
+        assert stepper_module._carried_for(u, context) is not None
+        for changed in ((other, Grid1D(50), "harmonic"), (material, Grid1D(50), "arithmetic")):
+            assert stepper_module._carried_for(u, changed) is None
+        assert stepper_module._carried_for(u.view(np.int64), context) is None
+        assert stepper_module._carried_for(u[:-1], (material, Grid1D(49), "harmonic")) is None
 
 
 class TestInitialFraction:

@@ -35,16 +35,6 @@ many pairs its statistics are over.  Each workload also records the
 ``peak_rss_mb`` median of each layout and the spread of those medians: a
 difference between the sides inside that spread is the layout's, not the
 change's.
-
-After the pairs, each side's copy measures layer rows in a process of its
-own (``layer_rows``): per-call times of one Newton update (Jacobian, solve
-and residual), one outer pass start (assembly and residual), one
-``thomas_solve`` and one ``advance``, at M in ``LAYER_SIZES``, from the eq
-reference's state after ``LAYER_STEP`` steps, over ``LAYER_REPEATS``
-repetitions.  The sides take ``LAYER_ROUNDS`` turns, alternating which
-goes first, and each row pools a side's repetitions of every round, with
-their min and median.  Both sides' rows go into each file under
-``layers``.
 """
 
 from __future__ import annotations
@@ -52,7 +42,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.metadata
-import inspect
 import io
 import json
 import os
@@ -173,147 +162,6 @@ def cpu_dispatch(features):
     return [name for name, active in features.items() if active]
 
 
-# the layer rows: grid sizes, repetitions per row, and the step of the eq
-# reference whose state the rows start from, mid-thaw
-LAYER_SIZES = (100, 400, 1600)
-LAYER_REPEATS = 7
-LAYER_ROUNDS = 3
-LAYER_TAU = 0.01
-LAYER_STEP = 150
-# consecutive steps in each repetition of the advance row
-LAYER_ADVANCE_STEPS = 10
-
-
-def _repeat(prepare, timed, repeats, seconds):
-    # the mean time of ``timed(prepare())`` per call, in microseconds, in
-    # each of ``repeats`` repetitions; each repetition makes as many calls
-    # as fit in about ``seconds``, and ``prepare`` is untimed
-    clock = time.perf_counter
-
-    def one():
-        arg = prepare()
-        start = clock()
-        timed(arg)
-        return clock() - start
-
-    calls = max(1, int(seconds / max(one(), 1e-9)))
-    return {"calls": calls,
-            "samples": [sum(one() for _ in range(calls)) / calls * 1e6 for _ in range(repeats)]}
-
-
-def layer_rows(sizes=LAYER_SIZES, repeats=LAYER_REPEATS, seconds=0.05):
-    """Per-call times, in microseconds, of the pde layers of the ``cryostef`` first on ``sys.path``.
-
-    Each row holds, per size, the calls per repetition and each
-    repetition's mean per call (``samples``).
-
-    Each size runs the eq reference at M cells for ``LAYER_STEP`` steps and
-    times, from that state, the calls its next step makes, with the caches
-    a run has in place when it makes them:
-
-    - ``newton_update``: Jacobian, solve, update and residual, from an
-      iterate whose residual was evaluated before (untimed);
-    - ``pass_start``: assembly and residual at such an iterate;
-    - ``thomas_solve``: the solve of the first Newton system;
-    - ``advance``: per step of ``LAYER_ADVANCE_STEPS`` consecutive steps
-      after one untimed step, with a carry where ``advance`` takes one.
-    """
-    from cryostef import cli, grid, solve, stepper
-    from cryostef.config import load_config
-
-    rows = {name: {} for name in ("newton_update", "pass_start", "thomas_solve", "advance")}
-    opts = solve.SolverOptions()
-    for m in sizes:
-        cfg = load_config(None, "pde", overrides={
-            "closure": "eq", "M": m, "tau": LAYER_TAU, "T": LAYER_STEP * LAYER_TAU,
-        })
-        run = cli.simulate_pde(cfg, opts)
-        prev = run.states[-1]
-
-        def bc(t):
-            return cfg.bc_left(t), cfg.bc_right(t)
-
-        def assembler(u, ud=bc(prev.t + cfg.tau)):
-            # as advance assembles: the conductivity from the problem's laws at u
-            k = problem.laws(u).conductivity(run.material)
-            return grid.assemble(u, run.material, run.grid, *ud, cfg.face_average, k=k)
-
-        # the reference source is zero
-        problem = stepper.StepProblem(prev, run.closure, cfg.tau, np.zeros(m), run.material,
-                                      assembler)
-        u0 = problem.initial_guess
-        asm = problem.assemble(u0)
-        r0 = problem.residual(u0, asm)
-        diag, off = problem.jacobian(u0, asm)
-
-        def iterate():
-            # a new iterate object equal to u0, evaluated as a residual evaluates it
-            u = u0 + 0.0
-            return u, problem.residual(u, asm)
-
-        def newton_update(arg):
-            u, r = arg
-            d, o = problem.jacobian(u, asm)
-            problem.residual(u - solve.thomas_solve(d, o, r), asm)
-
-        def pass_start(arg):
-            u, _ = arg
-            problem.residual(u, problem.assemble(u))
-
-        def advance_steps():
-            kwargs = {"face_average": cfg.face_average}
-            if "carry" in inspect.signature(stepper.advance).parameters:
-                kwargs["carry"] = stepper.StepCarry()
-            state, _ = stepper.advance(prev, cfg.tau, run.closure, run.material, run.grid,
-                                       lambda t: 0.0, bc, opts, **kwargs)
-            start = time.perf_counter()
-            for _ in range(LAYER_ADVANCE_STEPS):
-                state, _ = stepper.advance(state, cfg.tau, run.closure, run.material, run.grid,
-                                           lambda t: 0.0, bc, opts, **kwargs)
-            return (time.perf_counter() - start) / LAYER_ADVANCE_STEPS * 1e6
-
-        key = str(m)
-        rows["newton_update"][key] = _repeat(iterate, newton_update, repeats, seconds)
-        rows["pass_start"][key] = _repeat(iterate, pass_start, repeats, seconds)
-        rows["thomas_solve"][key] = _repeat(
-            lambda: None, lambda _: solve.thomas_solve(diag, off, r0), repeats, seconds
-        )
-        rows["advance"][key] = {"calls": LAYER_ADVANCE_STEPS,
-                                "samples": [advance_steps() for _ in range(repeats)]}
-    return {"closure": "eq", "tau": LAYER_TAU, "from_step": LAYER_STEP, "repeats": repeats,
-            "unit": "us", "sizes": list(sizes), "rows": rows}
-
-
-def pool_layer_rows(rounds):
-    """One side's layer rows from rounds of ``layer_rows``: each row's samples
-    of every round, their calls per repetition by round, min and median."""
-    rows = {}
-    for name, by_size in rounds[0]["rows"].items():
-        rows[name] = {}
-        for key in by_size:
-            samples = [x for r in rounds for x in r["rows"][name][key]["samples"]]
-            rows[name][key] = {
-                "calls": [r["rows"][name][key]["calls"] for r in rounds],
-                "samples": samples,
-                "min": min(samples),
-                "median": statistics.median(samples),
-            }
-    return dict(rounds[0], rounds=len(rounds), rows=rows)
-
-
-def run_layer_rows(root):
-    """``layer_rows`` of the tree at ``root``, measured in an interpreter of its own."""
-    code = (
-        "import json, sys\n"
-        f"sys.path[:0] = [{str(root / 'src')!r}, {str(Path(__file__).resolve().parent)!r}]\n"
-        "import bench_pairs\n"
-        "print(json.dumps(bench_pairs.layer_rows()))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
-                          text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def summarize(samples, wins, unit, better):
     q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {
@@ -409,12 +257,6 @@ def main(argv=None):
                 sim = {s: pair[s]["metrics"].get("sim_s", {}).get("value") for s in SIDES}
                 print(f"pair {i + 1}/{args.pairs} {workload} in {layout}: sim_s {sim}", flush=True)
         digests = {side: src_digest(roots[side, LAYOUTS[0]]) for side in SIDES}
-        rounds = {side: [] for side in SIDES}
-        for i in range(LAYER_ROUNDS):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                rounds[side].append(run_layer_rows(roots[side, LAYOUTS[0]]))
-            print(f"layer rows, round {i + 1}/{LAYER_ROUNDS}", flush=True)
-        layers = {side: pool_layer_rows(rounds[side]) for side in SIDES}
 
     common = {
         "command": [Path(sys.executable).name, *sys.argv],
@@ -437,7 +279,7 @@ def main(argv=None):
     }
     for side, out in (("parent", args.out_parent), ("change", args.out_change)):
         provenance = dict(common, src_digest=digests[side])
-        record = dict(side_record(side, runs, spec, provenance), layers=layers)
+        record = side_record(side, runs, spec, provenance)
         Path(out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
