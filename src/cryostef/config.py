@@ -22,20 +22,14 @@ from .errors import ConfigError
 
 MODES = ("pde", "ode-coupled", "ode-driven", "calibrate", "convergence")
 
-# numpy ufuncs so expressions work over cell-center arrays as well as scalars
-_EXPR_NAMES = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "where": np.where,
-    "minimum": np.minimum,
-    "maximum": np.maximum,
-    "pi": math.pi,
+# the math functions, with their argument counts: numpy's, so expressions work
+# over cell-center arrays as well as scalars, and numpy's function of an array
+# gives the bits of the same function of each element, so each has a block form
+_EXPR_CALLS = {
+    "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1,
+    "where": 3, "minimum": 2, "maximum": 2,
 }
+_EXPR_NAMES = {**{name: getattr(np, name) for name in _EXPR_CALLS}, "pi": math.pi}
 # the globals of every compiled expression, built once; an expression's own
 # names are its parameters, so they shadow the math names and never outlive a call
 _EXPR_GLOBALS = {"__builtins__": {}, **_EXPR_NAMES}
@@ -294,12 +288,15 @@ def _validate_expressions(cfg):
         expr = getattr(cfg, key)
         if expr == "auto" and key in _AUTO_KEYS:
             continue
-        for node in ast.walk(_compile_expression(expr)):
-            if isinstance(node, ast.Name) and node.id not in names and node.id not in _EXPR_NAMES:
-                raise ConfigError(
-                    f"key {key!r}: expression {expr!r} uses unknown name {node.id!r}; "
-                    f"it may use {', '.join(names)} and the math names"
-                )
+        try:
+            for node in ast.walk(_compile_expression(expr)):
+                if isinstance(node, ast.Name) and node.id not in names and node.id not in _EXPR_NAMES:
+                    raise ConfigError(
+                        f"expression {expr!r} uses unknown name {node.id!r}; "
+                        f"it may use {', '.join(names)} and the math names"
+                    )
+        except ConfigError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
         expression_function(expr, names)
 
 
@@ -335,17 +332,64 @@ _EXPR_NODES = (
 
 @functools.lru_cache(maxsize=256)
 def _compile_expression(expr):
-    # the checked tree; eval() of a string strips leading blanks, ast.parse() does not
+    # the checked tree, float-valued: each constant an int or float literal made
+    # a float, each truth value a condition, and each part that uses no name
+    # evaluated once, so 10**400 fails here, not at a step; eval() of a string
+    # strips leading blanks, ast.parse() does not
     try:
         tree = ast.parse(expr.lstrip(" \t"), "<config>", "eval")
     except (SyntaxError, ValueError) as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
     for node in ast.walk(tree):
-        text = isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
-        if text or not isinstance(node, _EXPR_NODES) or getattr(node, "id", "").startswith("_"):
+        other = isinstance(node, ast.Constant) and type(node.value) not in (int, float)
+        if other or not isinstance(node, _EXPR_NODES) or getattr(node, "id", "").startswith("_"):
             what = f"{type(node).__name__} {ast.unparse(node)}"
             raise ConfigError(f"expression {expr!r} may not use {what}")
+    conditions = set()  # the nodes whose value is read as a truth value
+    for node in ast.walk(tree):  # each node after its parent
+        name = getattr(getattr(node, "func", None), "id", None)
+        if name in _EXPR_CALLS and len(node.args) != _EXPR_CALLS[name]:
+            raise ConfigError(
+                f"expression {expr!r} calls {name} with {len(node.args)} arguments; "
+                f"it takes {_EXPR_CALLS[name]}"
+            )
+        # a truth value (a comparison, not, and, or) may only be read as a condition:
+        # an if's test, where's first argument, an operand of not, and or or, or a
+        # branch of an if read as a condition
+        op = getattr(node, "op", None)
+        if isinstance(node, (ast.Compare, ast.BoolOp)) or isinstance(op, ast.Not):
+            if node not in conditions:
+                text = ast.unparse(node)
+                raise ConfigError(
+                    f"expression {expr!r} uses the truth value {text} as a number; "
+                    f"write it as a condition, such as 1.0 if {text} else 0.0"
+                )
+        if isinstance(node, ast.IfExp):
+            branches = [node.body, node.orelse] if node in conditions else []
+            conditions.update([node.test, *branches])
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "where":
+            conditions.add(node.args[0])
+        elif isinstance(node, ast.BoolOp) or isinstance(op, ast.Not):
+            conditions.update(ast.iter_child_nodes(node))
+    try:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+        for node in ast.walk(tree.body):
+            if isinstance(node, ast.expr) and not any(isinstance(n, ast.Name) for n in ast.walk(node)):
+                code = compile(ast.Expression(node), "<config>", "eval")
+                eval(code, {"__builtins__": {}})  # noqa: S307 - numbers only
+    except (ArithmeticError, TypeError) as exc:
+        raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     return tree
+
+
+def _lambda(names, body):
+    # ``lambda <names>: <body>`` over the math namespace
+    args = [ast.arg(name) for name in names]
+    params = ast.arguments(posonlyargs=[], args=args, kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
+    return eval(compile(tree, "<config>", "eval"), _EXPR_GLOBALS)  # noqa: S307 - local config files
 
 
 @functools.lru_cache(maxsize=256)
@@ -358,13 +402,7 @@ def expression_function(expr, names):
     call that raises, or whose value is complex (such as a negative number
     to a fractional power), is a config error.
     """
-    params = ast.arguments(
-        posonlyargs=[], args=[ast.arg(name) for name in names], kwonlyargs=[], kw_defaults=[],
-        defaults=[],
-    )
-    tree = ast.Expression(ast.Lambda(params, _compile_expression(expr).body))
-    code = compile(ast.fix_missing_locations(tree), "<config>", "eval")
-    fn = eval(code, _EXPR_GLOBALS)  # noqa: S307 - local config files
+    fn = _lambda(names, _compile_expression(expr).body)
 
     def evaluate(*args):
         try:
@@ -383,76 +421,33 @@ def eval_expression(expr, **names):
     return expression_function(expr, tuple(names))(*names.values())
 
 
-# the calls a block form may make, with their argument counts: numpy's
-# functions of an array give the bits of the same function of each element
-_BLOCK_CALLS = {
-    "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "abs": 1,
-    "where": 3, "minimum": 2, "maximum": 2,
-}
-# the calls whose value is an integer when the values they are given are
-_BLOCK_INT_CALLS = ("abs", "where", "minimum", "maximum")
 _BLOCK_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub,
               ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 
-def _block_node(node, test=False):
-    """``node`` over an array of times, and a bound on its size if its value
-    is an integer, else None.
+def _block_node(node):
+    """The checked, float-valued ``node`` over an array of times.
 
     Only numbers, ``t``, ``pi``, ``+ - * /``, unary ``-``, comparisons with
     one operator, ``if ... else`` (as ``where``) and calls of the namespace's
     functions have a block form; anything else raises ValueError.  Numpy's
     ``**`` and ``%`` need not round as Python's do, and ``and``, ``or``,
-    ``not`` and chained comparisons do not work on arrays.  Three more
-    rules keep every value the same type at a time and over the block, so
-    that each operation is the same:
-
-    * an integer is at most 2**53 in size, so it has an exact float and an
-      int64 (numpy rounds an int to a float where Python compares exactly);
-    * a comparison is a ``test``: the condition of an ``if ... else`` or a
-      ``where``, or the whole expression (numpy adds bools as ``or`` and
-      takes their functions as float16);
-    * the two branches of an ``if ... else`` are both integers or both
-      floats (``where`` makes a float of an int that Python keeps, and
-      ``-0`` is ``0`` but ``-0.0`` is not ``0.0``).
+    ``not`` and chained comparisons do not work on arrays.
     """
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        new, bound = node, abs(node.value) if type(node.value) is int else None
-    elif isinstance(node, ast.Name) and node.id in ("t", "pi"):
-        new, bound = node, None
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        operand, bound = _block_node(node.operand)
-        new = ast.UnaryOp(node.op, operand)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _BLOCK_OPS):
-        (left, lb), (right, rb) = _block_node(node.left), _block_node(node.right)
-        new, bound = ast.BinOp(left, node.op, right), None
-        if lb is not None and rb is not None and not isinstance(node.op, ast.Div):
-            bound = lb * rb if isinstance(node.op, ast.Mult) else lb + rb
-    elif (isinstance(node, ast.Compare) and test and len(node.ops) == 1
-          and isinstance(node.ops[0], _BLOCK_OPS)):
-        (left, _), (right, _) = _block_node(node.left), _block_node(node.comparators[0])
-        new, bound = ast.Compare(left, node.ops, [right]), None
-    elif isinstance(node, ast.IfExp):
-        (cond, _), (body, b1), (orelse, b2) = (
-            _block_node(node.test, True), _block_node(node.body), _block_node(node.orelse)
-        )
-        if (b1 is None) != (b2 is None):
-            raise ValueError(ast.unparse(node))
-        new = ast.Call(ast.Name("where", ast.Load()), [cond, body, orelse], [])
-        bound = None if b1 is None else max(b1, b2)
-    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
-          and _BLOCK_CALLS.get(node.func.id) == len(node.args)):
-        where = node.func.id == "where"
-        parts = [_block_node(arg, where and i == 0) for i, arg in enumerate(node.args)]
-        new, bound = ast.Call(node.func, [arg for arg, _ in parts], []), None
-        bounds = [b for _, b in parts[where:]]
-        if node.func.id in _BLOCK_INT_CALLS and None not in bounds:
-            bound = max(bounds)
-    else:
-        raise ValueError(ast.unparse(node))
-    if bound is not None and bound > 2**53:
-        raise ValueError(ast.unparse(node))
-    return new, bound
+    if isinstance(node, ast.Constant) or (isinstance(node, ast.Name) and node.id in ("t", "pi")):
+        return node
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ast.UnaryOp(node.op, _block_node(node.operand))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BLOCK_OPS):
+        return ast.BinOp(_block_node(node.left), node.op, _block_node(node.right))
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], _BLOCK_OPS):
+        return ast.Compare(_block_node(node.left), node.ops, [_block_node(node.comparators[0])])
+    if isinstance(node, ast.IfExp):
+        parts = [_block_node(part) for part in (node.test, node.body, node.orelse)]
+        return ast.Call(ast.Name("where", ast.Load()), parts, [])
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "") in _EXPR_CALLS:
+        return ast.Call(node.func, [_block_node(arg) for arg in node.args], [])
+    raise ValueError(ast.unparse(node))
 
 
 @functools.lru_cache(maxsize=256)
@@ -470,15 +465,10 @@ def expression_block(expr):
     own step when evaluated step by step.
     """
     try:
-        body, _ = _block_node(_compile_expression(expr).body, test=True)
+        body = _block_node(_compile_expression(expr).body)
     except ValueError:
         return None
-    params = ast.arguments(
-        posonlyargs=[], args=[ast.arg("t")], kwonlyargs=[], kw_defaults=[], defaults=[],
-    )
-    tree = ast.Expression(ast.Lambda(params, body))
-    code = compile(ast.fix_missing_locations(tree), "<config>", "eval")
-    fn = eval(code, _EXPR_GLOBALS)  # noqa: S307 - local config files
+    fn = _lambda(("t",), body)
 
     def evaluate(times):
         try:

@@ -7,6 +7,7 @@ Jacobians, bisection, a closure dispatched at every iterate.  Nothing imports th
 import csv
 import io
 import math
+import tokenize
 from fractions import Fraction
 
 import numpy as np
@@ -242,8 +243,13 @@ _EXPRESSION_NAMES = {
 
 
 def evaluate_expression(expr, **names):
-    """A config expression's value by plain ``eval``: no builtins, ``names`` as its locals."""
-    return eval(expr, {"__builtins__": {}, **_EXPRESSION_NAMES}, names)  # noqa: S307
+    """A config expression's value by plain ``eval`` of its text with each
+    number written as a float: no builtins, ``names`` as its locals."""
+    tokens = tokenize.generate_tokens(io.StringIO(expr.lstrip(" \t")).readline)
+    text = tokenize.untokenize(
+        (kind, repr(float(token)) if kind == tokenize.NUMBER else token) for kind, token, *_ in tokens
+    )
+    return eval(text, {"__builtins__": {}, **_EXPRESSION_NAMES}, names)  # noqa: S307
 
 
 def _scalar_fraction(u, b):

@@ -61,3 +61,32 @@ def test_step_stamps_install_and_undo(worker, workload):
     assert not _same(_bindings(), before)
     patches.undo()
     assert _same(_bindings(), before)
+
+
+@pytest.mark.parametrize("workload", ["pde-reference", "ode-sweep", "ode-long"])
+def test_step_stamps_fire_once_per_step(worker, workload):
+    # the worker's set-up time ends at its first stamp, and each step adds one:
+    # a time loop that stopped calling cli.advance or ScalarOdeStepper.step once
+    # per step would leave the worker without them
+    import warnings
+
+    from spans import Patches
+
+    from cryostef import cli
+    from cryostef.config import load_config
+    from cryostef.solve import SolverOptions
+
+    pde = workload == "pde-reference"
+    cfg = load_config(None, "pde" if pde else "ode-coupled", overrides={"M": 10, "T": 0.05})
+    simulate = cli.simulate_pde if pde else cli.simulate_ode_coupled
+    timeline = worker.Timeline()
+    patches = Patches()
+    worker._install_stamps(patches, workload, timeline)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a start clamped into the envelope
+            simulate(cfg, SolverOptions())
+    finally:
+        patches.undo()
+    assert len(timeline.stamps) == 5
+    assert len(timeline.step_s) == (5 if pde else 0)

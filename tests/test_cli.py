@@ -210,7 +210,7 @@ class TestConfigParsing:
                 "16.0*cos(pi*t) - 15.0 if t < 1.0 else 4.0*cos(pi*t) + (4.0*t - 30.0)",
             ),
             (("source",), "where(x < 0.5, maximum(x, 0.1), -abs(t)) ** 2 // 1 % 3"),
-            (("source",), "not x < 1 and t >= 2 or x == 3"),
+            (("source",), "1.0 if not x < 1 and t >= 2 or x == 3 else 0.0"),
         ):
             for key in keys:
                 path.write_text(f"{key} = {expr}\n")
@@ -829,6 +829,103 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
 
+class TestFloatValuedExpressions:
+    # every expression is float-valued: its constants are int or float
+    # literals made floats, and a truth value is read only as a condition
+
+    @pytest.mark.parametrize(
+        "mode, key",
+        [("pde", "source"), ("ode-coupled", "forcing"), ("ode-driven", "drive"), ("convergence", "forcing")],
+    )
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("None", "expression 'None' may not use Constant None"),
+            ("...", "expression '...' may not use Constant ..."),
+            ("True", "expression 'True' may not use Constant True"),
+            ("1j", "expression '1j' may not use Constant 1j"),
+            (
+                "t < 0.5",
+                "expression 't < 0.5' uses the truth value t < 0.5 as a number; "
+                "write it as a condition, such as 1.0 if t < 0.5 else 0.0",
+            ),
+            ("cos(t < 1)", "expression 'cos(t < 1)' uses the truth value t < 1 as a number"),
+            ("10**400", "cannot evaluate expression '10**400': "),
+            ("where(t)", "expression 'where(t)' calls where with 1 arguments; it takes 3"),
+        ],
+    )
+    def test_exits_2_at_load_naming_the_key(self, tmp_path, capsys, mode, key, expr, message):
+        # evaluated as they stand, None and the integer 10**400 end in a
+        # TypeError or an OverflowError, and numpy takes a function of a bool
+        # in float16; each is a config error when the config loads
+        path = tmp_path / "run.cfg"
+        path.write_text(f"M = 10\nT = 0.1\n{key} = {expr}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"key {key!r}: {message}")):
+            load_config(path, mode)
+        assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: key {key!r}: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_tower_of_powers_exits_2_in_bounded_time(self, tmp_path):
+        # as integers 9**9**9**9 has hundreds of millions of digits; as floats
+        # it overflows at once, when the config loads
+        script = (
+            "from cryostef.cli import main\n"
+            "for mode, key in [('pde', 'source'), ('ode-coupled', 'forcing'),\n"
+            "                  ('ode-driven', 'drive'), ('convergence', 'forcing')]:\n"
+            "    open('run.cfg', 'w').write(f'{key} = 9**9**9**9\\n')\n"
+            "    print(main([mode, '--config', 'run.cfg', '--out', 'out']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, check=True,
+        )
+        assert proc.stdout.split() == ["2"] * 4
+        for key in ("source", "forcing", "drive", "forcing"):
+            assert f"config error: key {key!r}: cannot evaluate expression '9**9**9**9': " in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "expr, part",
+        [
+            ("(t < 1) + (t < 2)", "t < 1"),
+            ("cos((t < 1) if t < 2 else 0.5)", "t < 1"),
+            ("(t + 9007199254740992) < 9007199254740993", "t + 9007199254740992 < 9007199254740993"),
+            ("where(t < 1, t < 2, 0.5)", "t < 2"),
+            ("not t", "not t"),
+            ("t > 0 and t", "t > 0 and t"),
+        ],
+    )
+    def test_truth_value_read_as_a_number_is_rejected(self, expr, part):
+        # numpy adds bools as or, and takes a function of a bool in float16
+        with pytest.raises(ConfigError, match=re.escape(f"uses the truth value {part} as a number")):
+            config.expression_function(expr, ("t",))
+
+    def test_function_of_a_condition_is_taken_in_double(self):
+        expr = "cos(1.0 if t < 1 else 0.0)"
+        value = config.expression_function(expr, ("t",))(0.0)
+        assert value == 0.5403023058681398 and np.asarray(value).dtype == np.float64
+        values = config.expression_block(expr)(config.step_times(0, 3, 0.75))
+        assert values.tolist() == [0.5403023058681398, 0.5403023058681398, 1.0]
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [
+            ("3", 3.0),
+            ("7 // 2", 3.0),
+            ("-(0 if t < 1 else t)", -0.0),  # the integer 0 has no sign
+            ("9007199254740993", 9007199254740992.0),  # an integer above 2**53 rounds
+            ("1.0 if not t < 1 and t >= 0 or t == 3 else 2", 2.0),
+            ("where(t < 1, 1, 2) + 0", 1.0),
+        ],
+    )
+    def test_numbers_are_floats(self, expr, value):
+        result = eval_expression(expr, t=0.5)
+        assert np.asarray(result).dtype == np.float64
+        assert float(result).hex() == value.hex(), expr
+
+
 class TestExpressionNamespace:
     # every call evaluates over one shared math namespace, with the caller's
     # names as its locals
@@ -967,8 +1064,14 @@ class TestCompiledExpressions:
         ),
     )
     def test_compiled_function_is_the_reference_eval(self, expr, t, x):
-        # bit for bit the value plain eval gives over the math names, or both raise
-        function = config.expression_function(expr, ("t", "x"))
+        # bit for bit the value plain eval gives over the math names with every
+        # number a float, or both raise; a part that uses no name and cannot be
+        # evaluated is rejected when compiled
+        try:
+            function = config.expression_function(expr, ("t", "x"))
+        except ConfigError as err:
+            assert str(err).startswith(f"cannot evaluate expression {expr!r}: "), err
+            return
         expected = _outcome(lambda: evaluate_expression(expr, t=t, x=x))
         assert _outcome(lambda: function(t, x)) == expected, expr
 
@@ -1208,7 +1311,8 @@ class TestForcingBlocks:
         assert not out.exists()
 
 
-# time expressions: _expr_nodes over t alone, plus comparisons with one operator
+# time expressions: _expr_nodes over t alone, plus comparisons with one
+# operator, as the condition of an if and as a number, which is rejected
 _TIME_LEAVES = st.one_of(
     st.floats(0.0, 100.0).map(repr),
     st.integers(0, 9).map(str),
@@ -1218,7 +1322,12 @@ _TIME_LEAVES = st.one_of(
 
 def _time_expr_nodes(children):
     compare = st.tuples(children, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), children)
-    return st.one_of(_expr_nodes(children), compare.map(lambda p: "(%s %s %s)" % p))
+    condition = st.tuples(children, compare.map(lambda p: "%s %s %s" % p), children)
+    return st.one_of(
+        _expr_nodes(children),
+        condition.map(lambda p: "(%s if %s else %s)" % p),
+        compare.map(lambda p: "(%s %s %s)" % p),
+    )
 
 
 def _sampled(sample, times):
@@ -1245,8 +1354,8 @@ class TestExpressionBlocks:
     # a forcing or drive expression is evaluated a block of times at a time
     # where that gives the per-step bits, and step by step where it may not
 
-    # an expression with a block form, then one per rule of _block_node:
-    # without that rule, each would have a block form that gives other bits
+    # an expression with a block form; a branch that is -0.0 per step; then
+    # truth values read as numbers, which are rejected when compiled
     @example(expr="(16 if t < 1 else 4)*cos(pi*t)", tau=1e-3, edge=1, before=30, after=30)
     @example(expr="-(0 if t < 1 else t)", tau=1e-4, edge=1, before=3, after=3)
     @example(expr="(t < 1) + (t < 2)", tau=1e-4, edge=1, before=3, after=3)
@@ -1263,10 +1372,18 @@ class TestExpressionBlocks:
     def test_block_form_is_the_per_step_function(self, expr, tau, edge, before, after):
         # steps either side of a block edge: the block form is refused, or it
         # gives every value bit for bit; a block in which some per-step call
-        # raises or warns is refused, and then sampling is the per-step one
+        # raises or warns is refused, and then sampling is the per-step one.
+        # An expression that reads a truth value as a number, or has a part
+        # with no name that cannot be evaluated, has neither form
         edge *= cli._FORCING_BLOCK_STEPS
         times = config.step_times(edge - before, edge + after, tau)
-        function = config.expression_function(expr, ("t",))
+        try:
+            function = config.expression_function(expr, ("t",))
+        except ConfigError as err:
+            assert re.search(r"uses the truth value .* as a number|cannot evaluate", str(err)), err
+            with pytest.raises(ConfigError, match=re.escape(str(err))):
+                config.expression_block(expr)
+            return
         block = config.expression_block(expr)
         expected, expected_warnings = _sampled(_per_step(function), times)
         values = None if block is None else block(times)
@@ -1297,8 +1414,9 @@ class TestExpressionBlocks:
 
     @pytest.mark.parametrize(
         "expr",
-        ["(t - 1) ** 0.5", "t % 2", "t // 2", "t < 1 and t > 0", "not t", "0 < t < 1",
-         "t < 9007199254740993", "cos(t, t)", "where(t)", "t is t"],
+        ["(t - 1) ** 0.5", "t % 2", "t // 2", "1.0 if t < 1 and t > 0 else 0.0",
+         "1.0 if not t else 0.0", "1.0 if 0 < t < 1 else 0.0", "+t", "x + t",
+         "where(t < 1, t ** 2, 0.0)", "1.0 if t is t else 0.0"],
     )
     def test_syntax_without_a_block_form(self, expr):
         assert config.expression_block(expr) is None
@@ -1306,11 +1424,11 @@ class TestExpressionBlocks:
 
     @pytest.mark.parametrize(
         "expr, value",
-        [("3", lambda t: 3.0), ("t < 0.5", lambda t: float(t < 0.5))],
+        [("3", lambda t: 3.0), ("1 if t < 0.5 else 0", lambda t: 1.0 if t < 0.5 else 0.0)],
         ids=["number", "comparison"],
     )
     def test_values_become_floats_over_the_block(self, expr, value):
-        # a number is broadcast to the block, and bools become floats
+        # a number is broadcast to the block, and a comparison picks floats
         times = config.step_times(1, 101, 0.01)
         values = config.expression_block(expr)(times)
         assert values.dtype == float and values.tolist() == [value(t) for t in times.tolist()]
