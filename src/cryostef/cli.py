@@ -28,6 +28,7 @@ import numpy as np
 
 from . import solve as solvers
 from .config import (
+    BLOCK_STEPS,
     MODES,
     RunConfig,
     eval_expression,
@@ -245,34 +246,6 @@ def write_pde_outputs(run, out_dir):
 # Scalar ODE modes
 
 
-def _default_coupled_forcing(times, scratch):
-    """The built-in coupled forcing at each of an array of times, as floats.
-
-    ``h*cos(pi*t) + g`` with ``(h, g) = (16, -15)`` before t = 1 and
-    ``(4, 4t - 30)`` from then on.  The cosines are taken over the whole
-    array in ``scratch`` (as long as ``times``), so a call allocates no
-    array; numpy's cosine of an array has the bits of its cosine of each
-    element.
-    """
-    np.multiply(np.pi, times, out=scratch)
-    np.cos(scratch, out=scratch)
-    return [
-        16.0 * c - 15.0 if t < 1.0 else 4.0 * c + (4.0 * t - 30.0)
-        for t, c in zip(times.tolist(), scratch.tolist())
-    ]
-
-
-# sampled a block of times at a time, see _forcing_sampler
-_default_coupled_forcing.vectorized = True
-
-
-def _default_drive(t):
-    # plain floats: drive_play samples the drive once per step
-    h = 8.0 if t < 4.0 else 4.0
-    g = -2.0 if t < 4.0 else t / 2.0 - 8.0
-    return h * math.cos(math.pi * t / 4.0) + g
-
-
 def _time_expr_fn(expr, default):
     """The key's built-in, or its expression compiled as a function of t.
 
@@ -288,28 +261,22 @@ def _time_expr_fn(expr, default):
     if block is None:
         return function
 
-    def sample(times, scratch):
+    def sample(times):
         values = block(times)
-        return sample_times(function, times, scratch) if values is None else values.tolist()
+        return sample_times(function, times) if values is None else values.tolist()
 
     sample.vectorized = True
     return sample
 
 
-# time steps whose forcing is sampled together
-_FORCING_BLOCK_STEPS = 1024
-
-
-def _forcing_sampler(forcing):
-    """``sample(times)``: the forcing at a block of times, as floats.
-
-    ``sample_times`` evaluates a vectorized forcing (the built-in one, or
-    an expression with a block form) over the whole block at once, in a
-    scratch array allocated once here, and calls any other function of
-    time once per time, as the values are consumed.
-    """
-    scratch = np.empty(_FORCING_BLOCK_STEPS)
-    return lambda times: sample_times(forcing, times, scratch[:len(times)])
+# the built-in forcing and drive (``auto``), each an oscillation whose
+# amplitude and offset switch at one time
+_default_coupled_forcing = _time_expr_fn(
+    "16.0*cos(pi*t) - 15.0 if t < 1.0 else 4.0*cos(pi*t) + (4.0*t - 30.0)", None
+)
+_default_drive = _time_expr_fn(
+    "8.0*cos(pi*t/4.0) - 2.0 if t < 4.0 else 4.0*cos(pi*t/4.0) + (t/2.0 - 8.0)", None
+)
 
 
 def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
@@ -318,19 +285,19 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
     Returns the times and the (u, chi) arrays of the kept states, indexed by
     step number over ``stride``.  The loop carries the state and the forcing
     from step to step as plain floats, so no Newton iterate pays for numpy
-    scalar arithmetic.  The forcing is sampled a block of steps at a time
-    (``_forcing_sampler``): the built-in one with one array cosine per block,
-    an expression with one evaluation of its block form per block, or step
-    by step as the block is consumed where it has none or the block form
-    refuses the block.  Each block's states are collected in lists and its
-    kept ones copied into the preallocated arrays once, so the loop does the
-    same work at every stride and nothing but the three returned arrays
-    grows with the number of steps.  The stepper is handed back the state object it returned, so
-    it reuses that state's fraction.
+    scalar arithmetic.  The forcing is sampled ``BLOCK_STEPS`` steps at a
+    time (``sample_times``): an expression, the built-in one included, with
+    one evaluation of its block form per block, or step by step as the block
+    is consumed where it has none or the block form refuses the block.  Each
+    block's states are collected in lists and its kept ones copied into the
+    preallocated arrays once, so the loop does the same work at every stride
+    and nothing but the three returned arrays grows with the number of steps.
+    The stepper is handed back the state object it returned, so it reuses
+    that state's fraction.
     """
     tau = cfg.tau if tau is None else tau
     closure = build_closure(cfg)
-    sample = _forcing_sampler(_time_expr_fn(cfg.forcing, _default_coupled_forcing))
+    forcing = _time_expr_fn(cfg.forcing, _default_coupled_forcing)
     # one point at x = 0 with c(u) = u: the material keys of pde mode are not read
     material = ScaledMaterial(b=cfg.b, c_u=1.0, c_f=1.0, k_u=1.0, k_f=1.0)
     u0, chi0 = initial_state(cfg, closure, material, 0.0, strict_init)
@@ -346,10 +313,10 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
     u_n, chi_n = float(u0), float(chi0)
     u[0], chi[0] = u_n, chi_n
     try:
-        for start in range(1, n_steps + 1, _FORCING_BLOCK_STEPS):
-            block = step_times(start, min(start + _FORCING_BLOCK_STEPS, n_steps + 1), tau)
+        for start in range(1, n_steps + 1, BLOCK_STEPS):
+            block = step_times(start, min(start + BLOCK_STEPS, n_steps + 1), tau)
             us, chis = [], []
-            for f_n in sample(block):
+            for f_n in sample_times(forcing, block):
                 u_n, chi_n, _, _ = stepper.step(u_n, chi_n, tau, f_n)
                 us.append(u_n)
                 chis.append(chi_n)

@@ -483,6 +483,11 @@ def expression_block(expr):
     return evaluate
 
 
+# time steps whose forcing or drive is sampled together: one block form
+# evaluation per block, and in ode-driven one evaluation of both curves
+BLOCK_STEPS = 1024
+
+
 def step_times(start, stop, tau):
     """The times n*tau of steps start <= n < stop, with the bits of n*tau.
 
@@ -494,17 +499,15 @@ def step_times(start, stop, tau):
     return times
 
 
-def sample_times(function, times, scratch):
+def sample_times(function, times):
     """``function`` of time at each of ``times``, as an iterable of floats.
 
     A vectorized function (one whose ``vectorized`` is true) is called once
-    over the whole array, as ``function(times, scratch)``; ``scratch`` is a
-    float array as long as ``times`` that it may work in.  Any
-    other function is called once per time, lazily as the values are
-    consumed, so a failing call surfaces at its own step; ``float`` is
-    applied by ``map`` too, so no Python frame but the function's own runs
-    per time.
+    over the whole array.  Any other function is called once per time,
+    lazily as the values are consumed, so a failing call surfaces at its own
+    step; ``float`` is applied by ``map`` too, so no Python frame but the
+    function's own runs per time.
     """
     if getattr(function, "vectorized", False):
-        return function(times, scratch)
+        return function(times)
     return map(float, map(function, times.tolist()))

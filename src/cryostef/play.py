@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import sample_times, step_times
+from .config import BLOCK_STEPS, sample_times, step_times
 from .errors import ConfigError, InvalidBounds
 from .stepper import Closure, validate_initial_fraction
 
@@ -45,11 +45,6 @@ def play_step(v_prev, alpha, beta):
     return beta if beta < v else v
 
 
-# steps whose drive is sampled, whose curves are evaluated and whose clamps
-# are run together
-_BLOCK_STEPS = 1024
-
-
 def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     """Drive the hysteresis fraction with a prescribed temperature signal.
 
@@ -59,8 +54,8 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     of rows ``(t, u, chi)`` for steps 1..N with N = round(T/tau).
 
     The drive is sampled at every step time t = 0 ... N*tau before any step
-    runs, a block of times at a time, so that only one block of samples is
-    held beside the drive's array: a vectorized drive (see
+    runs, ``BLOCK_STEPS`` times at a time, so that only one block of samples
+    is held beside the drive's array: a vectorized drive (see
     ``sample_times``) in one call per block, any other one call per time.
     ``v_init`` is the starting fraction, or a function of u(0) that gives
     it, called after u(0) is sampled and before any later time is.  The
@@ -79,14 +74,11 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {tau}")
 
-    scratch = np.empty(_BLOCK_STEPS)
     blocks = (
-        step_times(start, min(start + _BLOCK_STEPS, n_steps + 1), tau)
-        for start in range(0, n_steps + 1, _BLOCK_STEPS)
+        step_times(start, min(start + BLOCK_STEPS, n_steps + 1), tau)
+        for start in range(0, n_steps + 1, BLOCK_STEPS)
     )
-    values = itertools.chain.from_iterable(
-        sample_times(u_schedule, times, scratch[:len(times)]) for times in blocks
-    )
+    values = itertools.chain.from_iterable(sample_times(u_schedule, times) for times in blocks)
     u0 = next(values)
     if callable(v_init):
         v_init = v_init(u0)
@@ -99,8 +91,8 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     chi = float(validate_initial_fraction(Closure.hysteresis(env), None, u[0], v_init, strict))
     rows = np.empty((n_steps, 3))
     rows[:, 1] = u[1:]
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, n_steps)
+    for start in range(0, n_steps, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, n_steps)
         rows[start:stop, 0] = np.arange(start + 1, stop + 1) * tau
         chis = []
         for f_u, beta in zip(env.lower(u[start + 1:stop + 1]).tolist(),

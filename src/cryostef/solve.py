@@ -370,7 +370,7 @@ def fixed_point_monolithic(problem, opts):
         w = problem.rhs - problem.closure_fraction(u) + tau * asm.bc_rhs
         tau_diag, tau_off = tau * asm.diag, tau * asm.off
         u_new, rep = newton_frozen_a(
-            lambda v: problem.laws(v).capacity_energy(m) + tau * asm.matvec(v) - w,
+            lambda v: problem.sensible_energy(v) + tau * asm.matvec(v) - w,
             lambda v: (problem.laws(v).capacity_slope(m) + tau_diag, tau_off),
             u,
             capacity_opts,

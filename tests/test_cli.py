@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import os
@@ -434,10 +435,12 @@ class TestOdeDrivenMode:
         seen = []
         drive = cli._default_drive
 
-        def recording(t):
-            seen.append((t, drive(t)))
-            return seen[-1][1]
+        def recording(times):
+            values = list(config.sample_times(drive, times))
+            seen.extend(zip(times.tolist(), values))
+            return values
 
+        recording.vectorized = True
         monkeypatch.setattr(cli, "_default_drive", recording)
         cfg = replace(load_config(None, "ode-driven"), tau=tau)
         cli.run_ode_driven(cfg, SolverOptions(), tmp_path)
@@ -1254,7 +1257,7 @@ class TestForcingBlocks:
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(
         tau=st.floats(1e-4, 0.05),
-        n_steps=st.integers(1, 2600).filter(lambda n: n % cli._FORCING_BLOCK_STEPS),
+        n_steps=st.integers(1, 2600).filter(lambda n: n % config.BLOCK_STEPS),
     )
     def test_drawn_runs_whose_last_block_is_partial(self, tau, n_steps):
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -1375,7 +1378,7 @@ class TestExpressionBlocks:
         # raises or warns is refused, and then sampling is the per-step one.
         # An expression that reads a truth value as a number, or has a part
         # with no name that cannot be evaluated, has neither form
-        edge *= cli._FORCING_BLOCK_STEPS
+        edge *= config.BLOCK_STEPS
         times = config.step_times(edge - before, edge + after, tau)
         try:
             function = config.expression_function(expr, ("t",))
@@ -1391,7 +1394,7 @@ class TestExpressionBlocks:
             assert values is None, expr
         elif values is not None:
             assert [v.hex() for v in values.tolist()] == expected, expr
-        sample = cli._forcing_sampler(cli._time_expr_fn(expr, None))
+        sample = functools.partial(config.sample_times, cli._time_expr_fn(expr, None))
         assert _sampled(sample, times) == (expected, expected_warnings), expr
 
     def test_division_by_zero_in_the_block_fails_at_its_step(self, monkeypatch):
@@ -1410,7 +1413,8 @@ class TestExpressionBlocks:
         assert config.expression_block(forcing)(times) is None
         expected = _sampled(_per_step(config.expression_function(forcing, ("t",))), times)
         assert expected[1] and len(expected[0]) == 200
-        assert _sampled(cli._forcing_sampler(cli._time_expr_fn(forcing, None)), times) == expected
+        sample = functools.partial(config.sample_times, cli._time_expr_fn(forcing, None))
+        assert _sampled(sample, times) == expected
 
     @pytest.mark.parametrize(
         "expr",
@@ -1447,6 +1451,65 @@ class TestExpressionBlocks:
         assert len(u) == 20001
         assert np.array_equal(u.view(np.int64), u_auto.view(np.int64))
         assert np.array_equal(chi.view(np.int64), chi_auto.view(np.int64))
+
+
+def _time_expression_arguments(run):
+    # the t of every call of a compiled function of t alone while ``run``
+    # runs: an array where a block is evaluated, a float where a step is
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == "<config>" and code.co_varnames == ("t",):
+            seen.append(frame.f_locals["t"])
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+class TestBuiltinTimeFunctions:
+    # the built-in forcing and drive are config expressions with a block form
+
+    @example(tau=0.01, before=3, after=3)
+    @example(tau=3.75e-2, before=3, after=3)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(tau=st.floats(1e-5, 0.05), before=st.integers(1, 40), after=st.integers(1, 40))
+    def test_builtins_have_the_oracle_bits_either_side_of_their_switches(self, tau, before, after):
+        # step times either side of t = 1, where the forcing switches, and of
+        # t = 4, where the drive does, through both built-ins
+        builtins = ((cli._default_coupled_forcing, coupled_forcing), (cli._default_drive, driven_schedule))
+        for edge in (1.0, 4.0):
+            n = round(edge / tau)
+            times = config.step_times(max(n - before, 0), n + after, tau)
+            for builtin, oracle in builtins:
+                values = list(config.sample_times(builtin, times))
+                assert all(type(value) is float for value in values)
+                expected = [oracle(t) for t in times.tolist()]
+                assert np.array_equal(np.array(values).view(np.int64), np.array(expected).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "mode, tau",
+        [("ode-coupled", None), ("ode-coupled", 4e-3), ("ode-driven", None), ("ode-driven", 3.75e-3)],
+    )
+    def test_default_runs_evaluate_their_builtin_once_per_block(self, mode, tau, tmp_path):
+        # the default run, and one of several blocks: each block of step times
+        # is evaluated as one array, and no step time on its own
+        cfg = load_config(None, mode)
+        cfg = cfg if tau is None else replace(cfg, tau=tau)
+        n_steps = round(cfg.T / cfg.tau)
+        first = 1 if mode == "ode-coupled" else 0  # ode-driven samples t = 0 too
+        run = cli.run_ode_coupled if mode == "ode-coupled" else cli.run_ode_driven
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            seen = _time_expression_arguments(lambda: run(cfg, SolverOptions(), tmp_path))
+        assert all(isinstance(t, np.ndarray) for t in seen)
+        starts = range(first, n_steps + 1, config.BLOCK_STEPS)
+        expected = [config.step_times(s, min(s + config.BLOCK_STEPS, n_steps + 1), cfg.tau) for s in starts]
+        assert [t.tolist() for t in seen] == [t.tolist() for t in expected]
 
 
 class TestModeFlags:

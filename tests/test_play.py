@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import drive_play_per_step
 
+from cryostef.config import BLOCK_STEPS
 from cryostef.constitutive import EXP_FLOOR, calibrate_envelope
 from cryostef.errors import InfeasibleState, InvalidBounds
-from cryostef import play
 from cryostef.play import ConstraintInterval, drive_play, play_step, resolvent
 
 
@@ -234,7 +234,7 @@ class TestWholeDrive:
     def test_block_edges_match_per_step_loop(self, envelope_ii, offset):
         # one step, and one block of steps less one, exactly, plus one and
         # plus a further block and one: the clamp runs on across each block
-        n_steps = 1 if offset is None else play._BLOCK_STEPS + offset
+        n_steps = 1 if offset is None else BLOCK_STEPS + offset
 
         def schedule(t):
             return 2.0 - 6.0 * math.cos(0.9 * t)

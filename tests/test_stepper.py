@@ -531,6 +531,32 @@ class TestStepCarry:
         # the edit moved the steps after it, so stale laws or a stale matrix would show
         assert carried[3:] != unedited[3:]
 
+    def test_fixed_point_step_from_a_copy_ignores_an_edit_to_the_original(self, monkeypatch):
+        # the kept laws refer to the returned state's u, which its caller owns:
+        # a step from a copy of that state, taken after the original's u is
+        # edited in place, is the step taken with nothing kept
+        material = ScaledMaterial(b=1.0, c_u=2.94e-2, c_f=2.21e-2, k_u=1.51e-2, k_f=2.06e-2)
+        grid = Grid1D(20)
+        opts = SolverOptions(strategy="fixed-point", max_outer=400)
+        u0 = np.full(20, -5.0)
+        state = TimeState(0.0, u0, np.asarray(equilibrium_fraction(u0, 1.0)))
+
+        def step(prev):
+            new, rep = advance(prev, 0.01, Closure.kinetic(5.0), material, grid,
+                               lambda t: 0.0, lambda t: (5.0, -5.0), opts)
+            return (_bits(new.u), _bits(new.upsilon), rep.outer_iters,
+                    rep.inner_iters_total, rep.residual_history)
+
+        monkeypatch.setattr(stepper_module, "_carried", (None, None))
+        first, _ = advance(state, 0.01, Closure.kinetic(5.0), material, grid,
+                           lambda t: 0.0, lambda t: (5.0, -5.0), opts)
+        copy = TimeState(first.t, first.u.copy(), first.upsilon.copy())
+        first.u += 1.0
+        assert stepper_module._carried_for(copy.u, (material, grid, "harmonic")) is not None
+        carried = step(copy)
+        monkeypatch.setattr(stepper_module, "_carried", (None, None))
+        assert carried == step(copy)
+
     def test_another_material_grid_or_face_average_takes_nothing(self, monkeypatch):
         # the slot is one for every run: a step of another run whose state
         # holds the same bytes takes it only in the same context
