@@ -306,8 +306,7 @@ def simulate_ode_coupled(cfg, opts, tau=None, strict_init=False, stride=1):
     n_steps = int(round(cfg.T / tau))
     # scaled in place: freeing a run-length temporary would raise malloc's
     # mmap threshold and put u and chi on the heap, raising the peak memory
-    times = np.arange(0, n_steps + 1, stride, dtype=float)
-    times *= tau
+    times = step_times(0, n_steps + 1, tau, stride)
     u = np.empty(len(times))
     chi = np.empty(len(times))
     u_n, chi_n = float(u0), float(chi0)

@@ -89,6 +89,12 @@ def _parse_float_list(text):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's resolved settings: the mode and every config key, by name.
+
+    ``load_config`` builds it from these defaults with the mode's own laid
+    over them, then the file's keys and the overrides, and validates it.
+    """
+
     mode: str
     # material / fraction curve
     b: float = 1.0
@@ -488,13 +494,13 @@ def expression_block(expr):
 BLOCK_STEPS = 1024
 
 
-def step_times(start, stop, tau):
-    """The times n*tau of steps start <= n < stop, with the bits of n*tau.
+def step_times(start, stop, tau, stride=1):
+    """The times n*tau of steps n = start, start + stride, ... below stop.
 
-    ``float(n)*tau`` is ``n*tau``; the array is scaled in place, so no
-    second array of its length is made.
+    Each is ``float(n)*tau``, the bits of ``n*tau``; the array is scaled in
+    place, so no second array of its length is made.
     """
-    times = np.arange(start, stop, dtype=float)
+    times = np.arange(start, stop, stride, dtype=float)
     times *= tau
     return times
 

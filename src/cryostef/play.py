@@ -23,6 +23,8 @@ from .stepper import Closure, validate_initial_fraction
 
 @dataclass(frozen=True)
 class ConstraintInterval:
+    """The interval [lo, hi] of a constraint graph; lo <= hi, neither NaN."""
+
     lo: float
     hi: float
 
@@ -93,7 +95,7 @@ def drive_play(u_schedule, env, tau, T, v_init, strict=True):
     rows[:, 1] = u[1:]
     for start in range(0, n_steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, n_steps)
-        rows[start:stop, 0] = np.arange(start + 1, stop + 1) * tau
+        rows[start:stop, 0] = step_times(start + 1, stop + 1, tau)
         chis = []
         for f_u, beta in zip(env.lower(u[start + 1:stop + 1]).tolist(),
                              env.gap(u[start:stop]).tolist()):

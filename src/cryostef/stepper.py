@@ -14,9 +14,11 @@ C(U) is kept fully implicit; its slope only enters the Newton Jacobian.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from math import exp
 
 import numpy as np
 
@@ -365,22 +367,25 @@ def energy_balance_defect(prev, new, material, grid, bc, f_n, tau, face_average=
 # Scalar fast path for the single-point coupled system du/dt + dchi/dt + a*u = f
 # with c(u) = u.  Kept in plain floats because the fine-step convergence runs
 # take ~1e5 steps; equivalence with the vector machinery is covered by tests.
+# Every fraction exponential goes through the module name ``exp``; the
+# envelope's upper curve calls ``math.exp``.
 
 
 def _fraction(u, b):
     if u >= 0.0:
         return 1.0
     z = b * u
-    return math.exp(z) if z >= EXP_FLOOR else 0.0
+    return exp(z) if z >= EXP_FLOOR else 0.0
 
 
-def _envelope_gap(theta, env):
-    # the upper curve is the lower one outside [theta0, 0], so no gap there
+def _envelope_gap(theta, env, lower):
+    # ``lower`` is the lower curve at theta; the upper curve is the lower one
+    # outside [theta0, 0], so no gap there
     if theta < env.theta0 or theta > 0.0:
         return 0.0
     g = env.a * math.exp(env.b_bar * theta) + env.D * theta + env.C
-    # max(min(g, 1.0) - F, 0.0) without the builtin calls, bit for bit
-    d = (1.0 if 1.0 < g else g) - _fraction(theta, env.b)
+    # max(min(g, 1.0) - lower, 0.0) without the builtin calls, bit for bit
+    d = (1.0 if 1.0 < g else g) - lower
     return 0.0 if 0.0 > d else d
 
 
@@ -389,13 +394,22 @@ class ScalarOdeStepper:
 
     Solves u + chi(u) + tau*a*u = tau*f + u_prev + chi_prev per step by
     semismooth Newton on plain floats; ``chi(u)`` follows the configured
-    closure exactly as in the vector stepper.  The closure is resolved
-    once per step: eq and neq share the kinetic law
-    ``chi = (1 - w)*f + w*chi_prev`` with relaxation weight ``w = 0`` for
-    eq and ``1/(1 + tau*rate)`` for neq, so eq gives ``1.0*f + 0.0 == f``;
-    hyst clamps ``chi_prev - f`` into the lagged envelope gap.  The
-    stiffness ``a_coef`` must be non-negative, so the Newton slope
-    ``1 + dchi + tau*a`` is at least 1 and the division never fails.
+    closure exactly as in the vector stepper.  The closure is resolved once
+    per stepper, to the hysteresis envelope or to whether the law is
+    kinetic: eq and neq share the kinetic law ``chi = (1 - w)*f +
+    w*chi_prev`` with relaxation weight ``w = 0`` for eq and ``1/(1 +
+    tau*rate)`` for neq, made per step since ``tau`` is an argument, so eq
+    gives ``1.0*f + 0.0 == f``; hyst clamps ``chi_prev - f`` into the
+    envelope gap at ``u_prev``, made once per step.  The stiffness
+    ``a_coef`` must be non-negative and finite, so the Newton slope ``1 +
+    dchi + tau*a`` is at least 1 and the division never fails.
+
+    A step forms the residual at ``u_prev`` before its loop, and the loop
+    runs while the residual lies outside [-tol, tol]: each pass makes one
+    Newton update, evaluates the fraction at the new iterate in the loop
+    body itself and forms the residual there.  After ``max_iter`` updates
+    whose residual is still outside, the step raises ``NonConvergence``
+    with that residual.
 
     The stepper keeps the fraction ``F(u)`` of the state it last accepted,
     with that float object: a step handed the same object back as
@@ -404,15 +418,23 @@ class ScalarOdeStepper:
     """
 
     def __init__(self, closure, b, a_coef, tol=1e-8, max_iter=20):
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"steepness b must be positive and finite, got {b}")
         if closure.kind == HYST and not math.isclose(closure.envelope.b, b):
             raise ValueError("envelope steepness must match the fraction steepness")
-        if not a_coef >= 0.0:
-            raise ValueError(f"stiffness a_coef must be non-negative, got {a_coef}")
+        if not 0.0 <= a_coef < math.inf:
+            raise ValueError(f"stiffness a_coef must be non-negative and finite, got {a_coef}")
+        if not tol > 0.0:
+            raise ValueError(f"tol must be positive, got {tol}")
+        if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+            raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
         self.closure = closure
         self.b = b
         self.a_coef = a_coef
         self.tol = tol
         self.max_iter = max_iter
+        self._envelope = closure.envelope if closure.kind == HYST else None
+        self._kinetic = closure.kind == NEQ
         # holding the accepted state keeps its id from going to another object
         self._accepted_u = self._accepted_f = None
 
@@ -426,39 +448,51 @@ class ScalarOdeStepper:
         g = tau * f_value + u_prev + chi_prev
         ta = tau * self.a_coef
         b = self.b
-        tol = self.tol
-        hyst = self.closure.kind == HYST
-        if hyst:
-            beta = _envelope_gap(u_prev, self.closure.envelope)
-        else:
-            w = 0.0 if self.closure.kind == EQ else 1.0 / (1.0 + tau * self.closure.rate)
-            c1 = 1.0 - w
-            c0 = w * chi_prev
+        env = self._envelope
         u = u_prev
         f = self._accepted_f if u is self._accepted_u else _fraction(u, b)
-        for it in range(self.max_iter + 1):
-            if hyst:
+        if env is None:
+            w = 1.0 / (1.0 + tau * self.closure.rate) if self._kinetic else 0.0
+            c1 = 1.0 - w
+            c0 = w * chi_prev
+            chi = c1 * f + c0
+        else:
+            # the lower curve at u_prev is f when the steepness agrees
+            beta = _envelope_gap(u, env, f if env.b == b else _fraction(u, env.b))
+            s = chi_prev - f
+            # min(max(s, 0.0), beta) without the builtin calls: the same
+            # operand on ties, signed zeros and NaN
+            c = 0.0 if 0.0 > s else s
+            chi = f + (beta if beta < c else c)
+        phi = u + chi + ta * u - g
+        tol = self.tol
+        max_iter = self.max_iter
+        it = 0
+        while not -tol <= phi <= tol:  # NaN stays in the loop
+            if it == max_iter:
+                raise NonConvergence(
+                    f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)
+                )
+            it += 1
+            # the fraction slope is b*f below the kink; the clamp adds
+            # nothing to the slope strictly inside its interval
+            fp = 0.0 if u > 0.0 else b * f
+            if env is None:
+                u -= phi / (1.0 + c1 * fp + ta)
+            else:
+                u -= phi / (1.0 + (0.0 if 0.0 < s < beta else fp) + ta)
+            # the fraction at the new iterate: _fraction(u, b), written out
+            if u >= 0.0:
+                f = 1.0
+            else:
+                z = b * u
+                f = exp(z) if z >= EXP_FLOOR else 0.0
+            if env is None:
+                chi = c1 * f + c0
+            else:
                 s = chi_prev - f
-                # min(max(s, 0.0), beta) without the builtin calls: the same
-                # operand on ties, signed zeros and NaN
                 c = 0.0 if 0.0 > s else s
                 chi = f + (beta if beta < c else c)
-            else:
-                chi = c1 * f + c0
             phi = u + chi + ta * u - g
-            if abs(phi) <= tol:
-                self._accepted_u, self._accepted_f = u, f
-                return u, chi, it, abs(phi)
-            # the fraction slope is b*f below the kink
-            fp = 0.0 if u > 0.0 else b * f
-            # the clamp adds nothing to the slope strictly inside its interval
-            if hyst:
-                dchi = 0.0 if 0.0 < s < beta else fp
-            else:
-                dchi = c1 * fp
-            u -= phi / (1.0 + dchi + ta)
-            # one exponential per iterate
-            f = _fraction(u, b)
-        raise NonConvergence(
-            f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)
-        )
+        self._accepted_u, self._accepted_f = u, f
+        return u, chi, it, abs(phi)

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     ScalarStepPerIterate,
     _scalar_envelope_gap,
+    _scalar_fraction,
     bisect,
     bits,
     cell_arrays,
@@ -751,6 +752,66 @@ class TestScalarOdeStepper:
                 assert _bits(shipped[0]) == _bits(oracle[0]), (u0, chi0)
                 assert repr(shipped[1]) == repr(oracle[1]), (u0, chi0)
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["eq", "neq", "hyst"])
+    def test_small_budgets_stall_as_the_per_iterate_oracle(self, kind, max_iter):
+        # with budgets of 0, 1 and 2 updates and tolerances down to below the
+        # residual's rounding, runs stall after max_iter updates, and the
+        # stall's message and residual are the oracle's, as are the steps
+        # accepted before it
+        env = calibrate_envelope(1.0, 0.1, -5.0)
+        closure = {
+            "eq": Closure.equilibrium(),
+            "neq": Closure.kinetic(5.0),
+            "hyst": Closure.hysteresis(env),
+        }[kind]
+        stalls = 0
+        for tol in (1e-8, 1e-12, 1e-15, 1e-300):
+            for u0 in (0.0, -0.0, -1.0, -6.0, 1.0):
+                for chi0 in (0.0, 0.5, 1.0, math.nan):
+                    runs = []
+                    for cls in (ScalarOdeStepper, ScalarStepPerIterate):
+                        stepper = cls(closure, 1.0, 0.02, tol=tol, max_iter=max_iter)
+                        u, chi, rows, stall = u0, chi0, [], None
+                        try:
+                            for f_value in (-3.0, 0.0, 5.0, 60.0):
+                                u, chi, iters, residual = stepper.step(u, chi, 0.01, f_value)
+                                rows.append(repr((u, chi, iters, residual)))
+                        except NonConvergence as err:
+                            stall = str(err), repr(err.residual)
+                        runs.append((rows, stall))
+                    assert runs[0] == runs[1], (tol, u0, chi0)
+                    stalls += runs[0][1] is not None
+        assert stalls >= 40
+
+    def test_iterate_on_the_exp_floor_takes_the_exponential(self):
+        # from below the floor the step is linear and its one update lands
+        # exactly on b*u = EXP_FLOOR, where the fraction is exp(-700), not 0
+        args = (-700.5, 0.0, 0.5, 1.0)
+        shipped = ScalarOdeStepper(Closure.equilibrium(), 1.0, 0.0).step(*args)
+        assert shipped == (EXP_FLOOR, math.exp(EXP_FLOOR), 1, 0.0)
+        assert shipped == ScalarStepPerIterate(Closure.equilibrium(), 1.0, 0.0).step(*args)
+
+    @pytest.mark.parametrize("u0", [0.0, -0.5, -1.0, -2.5, -4.0, -5.0, -6.0])
+    def test_close_but_unequal_envelope_steepness_bit_equal_to_oracle(self, u0):
+        # an envelope whose steepness is math.isclose to b but not equal to it
+        # is accepted; its gap takes the lower curve at its own steepness, not
+        # the stepper's fraction at u_prev, as the oracle does
+        b_env = 1.0 + 5e-10
+        assert math.isclose(b_env, 1.0) and b_env != 1.0
+        env = calibrate_envelope(b_env, 0.1, -5.0)
+        closure = Closure.hysteresis(env)
+        forcing = [-3.0, 0.0, 5.0, 60.0, -60.0, 0.0, -10.0, 2.0]
+        lo = float(env.lower(u0))
+        hi = max(float(env.upper(u0)), lo)
+        for chi0 in (lo, hi, 0.5 * (lo + hi)):
+            for tau in (0.1, 0.01):
+                args = (u0, chi0, tau, forcing)
+                shipped = self.trajectory(ScalarOdeStepper(closure, 1.0, 0.02), *args)
+                oracle = self.trajectory(ScalarStepPerIterate(closure, 1.0, 0.02), *args)
+                assert _bits(shipped[0]) == _bits(oracle[0]), (chi0, tau)
+                assert repr(shipped[1]) == repr(oracle[1]), (chi0, tau)
+
     @pytest.mark.parametrize("kind", ["eq", "neq", "hyst"])
     def test_kept_fraction_bit_equal_to_a_fresh_float(self, kind):
         # a step handed back the state it accepted reuses that state's
@@ -774,17 +835,19 @@ class TestScalarOdeStepper:
 
     def test_default_sweep_evaluates_each_accepted_fraction_once(self, monkeypatch):
         # the default convergence sweep: 111,100 steps from 4 initial states.
-        # Each step's first iterate reuses the fraction its previous step
-        # accepted, except the first step of each run; handed fresh floats,
-        # the stepper evaluates every iterate, as it did before it kept them
+        # Every fraction exponential goes through the module name ``exp``, the
+        # envelope's upper curve does not.  Each step's first iterate reuses
+        # the fraction its previous step accepted, except the first step of
+        # each run, and the envelope gap reads it as its lower curve; handed
+        # fresh floats, the stepper evaluates the fraction at u_prev too
         calls = Counter()
-        fraction = stepper_module._fraction
+        exp = stepper_module.exp
 
-        def counting(u, b):
-            calls["fraction"] += 1
-            return fraction(u, b)
+        def counting(z):
+            calls["exp"] += 1
+            return exp(z)
 
-        monkeypatch.setattr(stepper_module, "_fraction", counting)
+        monkeypatch.setattr(stepper_module, "exp", counting)
         cfg = load_config(None, "convergence")
         taus = cfg.taus + (cfg.tau_fine,)
 
@@ -793,7 +856,7 @@ class TestScalarOdeStepper:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 runs = [cli.simulate_ode_coupled(cfg, SolverOptions(), tau=tau) for tau in taus]
-            return calls["fraction"], runs
+            return calls["exp"], runs
 
         kept, kept_runs = sweep()
         step = ScalarOdeStepper.step
@@ -802,7 +865,10 @@ class TestScalarOdeStepper:
         )
         fresh, fresh_runs = sweep()
         assert sum(len(times) - 1 for times, _, _ in kept_runs) == 111_100
-        assert (kept, fresh) == (124_106, 235_202)
+        # every sweep iterate lies below the kink and above the exp floor, so
+        # each fraction is one exp; the gap no longer evaluates F(u_prev) again
+        # on the 7,426 steps that start inside [theta0, 0]
+        assert (kept, fresh) == (116_680, 227_776)
         assert fresh - kept == 111_100 - len(taus)
         for (_, u_k, chi_k), (_, u_f, chi_f) in zip(kept_runs, fresh_runs):
             assert _bits(u_k) == _bits(u_f) and _bits(chi_k) == _bits(chi_f)
@@ -818,7 +884,7 @@ class TestScalarOdeStepper:
         thetas = np.linspace(env.theta0, 0.0, 2001).tolist() + edges + [
             -0.0, 0.0, math.nextafter(0.0, -1.0), -math.inf, math.inf, math.nan
         ]
-        got = [_envelope_gap(theta, env) for theta in thetas]
+        got = [_envelope_gap(theta, env, _scalar_fraction(theta, env.b)) for theta in thetas]
         assert _bits(got) == _bits([_scalar_envelope_gap(theta, env) for theta in thetas])
 
     def test_stationary(self):
@@ -832,6 +898,37 @@ class TestScalarOdeStepper:
     def test_mismatched_steepness_rejected(self, envelope_ii):
         with pytest.raises(ValueError):
             ScalarOdeStepper(Closure.hysteresis(envelope_ii), 2.0, 0.02)
+
+    @pytest.mark.parametrize("max_iter", [-1, -20, 2.0, 20.5, None])
+    def test_budget_that_is_not_a_non_negative_integer_rejected(self, max_iter):
+        # the step's counter never equals a negative budget, and a float or
+        # None budget is not a count of updates
+        with pytest.raises(ValueError, match="max_iter must be a non-negative integer"):
+            ScalarOdeStepper(Closure.equilibrium(), 1.0, 0.02, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0, -1e-8, -math.inf, math.nan])
+    def test_tolerance_that_is_not_positive_rejected(self, tol):
+        # such a tolerance accepts no residual: every step would use its
+        # whole budget and report a stall at a residual of rounding size
+        with pytest.raises(ValueError, match="tol must be positive"):
+            ScalarOdeStepper(Closure.equilibrium(), 1.0, 0.02, tol=tol)
+
+    @pytest.mark.parametrize("b", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_steepness_that_is_not_positive_and_finite_rejected(self, b):
+        # b = 0 would give fraction 1 below freezing; PointwiseLaws rejects
+        # such a steepness too
+        with pytest.raises(ValueError, match="steepness b must be positive and finite"):
+            ScalarOdeStepper(Closure.equilibrium(), b, 0.02)
+
+    def test_zero_budget_and_tiny_tolerance_accepted(self):
+        stepper = ScalarOdeStepper(Closure.equilibrium(), 1.0, 0.0, tol=5e-324, max_iter=0)
+        assert stepper.step(0.0, 1.0, 0.1, 0.0) == (0.0, 1.0, 0, 0.0)
+
+    def test_infinite_stiffness_rejected(self):
+        # tau*a = inf leaves no finite residual: a step would use its whole
+        # budget and report a stall at residual nan
+        with pytest.raises(ValueError, match="a_coef must be non-negative and finite"):
+            ScalarOdeStepper(Closure.equilibrium(), 1.0, math.inf)
 
     @pytest.mark.parametrize("a_coef", [-100.0, -1e-300, math.nan])
     def test_negative_stiffness_rejected(self, a_coef):
