@@ -516,14 +516,14 @@ def _write_csv(path, header, rows):
 
 
 def _positive(kind):
-    # argparse type: a number of ``kind`` above zero, else a usage error
+    # argparse type: a finite number of ``kind`` above zero, else a usage error
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
         return value
 
     return parse

@@ -62,8 +62,8 @@ class SolverOptions:
     strategy: str = NEWTON_ALAG
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got tol={self.tol}")
         if self.max_inner < 1 or self.max_outer < 1:
             raise ValueError("iteration caps must be at least 1")
         if self.strategy not in STRATEGIES:
@@ -95,27 +95,15 @@ def thomas_solve(diag, off, rhs):
     and every system where the first-use check found other bits, goes to
     the loop, with its messages and its NaNs.  The pivot bound scales with
     the largest entry that is a number, so a NaN in ``diag`` still lets a
-    zero pivot raise.  Callers do not modify ``off`` in place between
-    calls: its magnitudes are kept with the last array seen.
+    zero pivot raise.
     """
-    n = diag.shape[0]
-    absoff, off_max = _magnitudes(off)
-    absdiag = abs(diag)
-    diag_max = _largest(absdiag)
-    if n >= 2 and math.isfinite(diag_max + off_max):
-        tiny = max(diag_max, off_max, 1.0) * 1e-15
+    if diag.shape[0] >= 2:
         kernel = _dgtsv if _dgtsv is not None else _load_dgtsv()
         if kernel:
-            x = kernel.solve(diag, off, absoff, rhs, tiny)
+            x = kernel.solve(diag, off, rhs)
             if x is not None:
                 return x
-    elif diag_max != diag_max:
-        # fmax passes over a NaN, which would make the bound NaN and let a
-        # zero pivot through to a division
-        diag_max = float(np.fmax.reduce(absdiag))
-    # max() keeps its first argument unless a later one is larger: a NaN in
-    # off leaves the bound alone
-    return _thomas_loop(diag, off, rhs, max(diag_max, off_max, 1.0) * 1e-15)
+    return _thomas_loop(diag, off, rhs, _pivot_bound(abs(diag), abs(off)))
 
 
 def _largest(a):
@@ -124,19 +112,17 @@ def _largest(a):
     return float(a[a.argmax()])
 
 
-def _magnitudes(off):
-    # |off| and its largest entry, once per array: the Jacobians of an outer
-    # pass share one off-diagonal; holding the key keeps its id from reuse
-    global _off_magnitudes
-    key, absoff, off_max = _off_magnitudes
-    if off is not key:
-        absoff = abs(off)
-        off_max = _largest(absoff) if off.size else 0.0
-        _off_magnitudes = off, absoff, off_max
-    return absoff, off_max
-
-
-_off_magnitudes = (None, None, None)
+def _pivot_bound(absdiag, absoff):
+    # the loop's collapse bound, from the magnitudes of diag and off
+    diag_max = _largest(absdiag)
+    if diag_max != diag_max:
+        # fmax passes over a NaN, which would make the bound NaN and let a
+        # zero pivot through to a division
+        diag_max = float(np.fmax.reduce(absdiag))
+    off_max = _largest(absoff) if absoff.size else 0.0
+    # max() keeps its first argument unless a later one is larger: a NaN in
+    # off leaves the bound alone
+    return max(diag_max, off_max, 1.0) * 1e-15
 
 
 def _thomas_loop(diag, off, rhs, tiny):
@@ -172,7 +158,9 @@ class _Dgtsv:
     ``d[i] == dl[i]``.  Its back substitution also subtracts
     ``dl[i] * x[i + 2]`` with ``dl[i]`` zeroed, which changes a bit only
     where that term is NaN or flips the sign of a zero, so a solution entry
-    is then non-finite or zero.  ``solve`` returns None for each of these.
+    is then non-finite or zero.  ``solve`` returns None for each of these,
+    and for non-finite matrix data before the call.  It measures each
+    system in its own buffers and forms the loop's pivot bound from them.
     One lock serializes the solves that share the buffers.
     """
 
@@ -184,28 +172,37 @@ class _Dgtsv:
         self._sizes = {}
 
     def _buffers(self, n):
-        # dl, d, du and b, the pivot magnitudes, a mask, and the call's
-        # arguments: all made once per size
-        block = np.empty((5, n))
-        dl, d, du, b, mag = block
-        dl, du = dl[:-1], du[:-1]
+        # dl, d, du and b; the magnitudes of diag (then of the pivots) and of
+        # off, last so that one view holds both, the off row's spare entry
+        # zero; a mask; and the call's arguments: all made once per size
+        block = np.zeros((6, n))
+        dl, d, du, b, mag, absoff = block
+        dl, du, absoff = dl[:-1], du[:-1], absoff[:-1]
         size = ctypes.c_int64(n)
         ref = ctypes.byref
         pointers = (ctypes.c_void_p(a.ctypes.data) for a in (dl, d, du, b))
         args = (ref(size), ref(self._nrhs), *pointers, ref(size), ref(self._info))
         mask = np.empty(n, bool)
-        buffers = self._sizes[n] = (dl, d, du, b, mag, mag[:-1], mask, mask[:-1], args)
+        magnitudes = block[4:].reshape(-1)
+        buffers = self._sizes[n] = (
+            dl, d, du, b, mag, mag[:-1], absoff, magnitudes, mask, mask[:-1], args
+        )
         return buffers
 
-    def solve(self, diag, off, absoff, rhs, tiny):
+    def solve(self, diag, off, rhs):
         """The loop's solution of the system, or None where ``dgtsv`` may differ."""
         n = diag.shape[0]
         if off.shape != (n - 1,) or rhs.shape != (n,):
             return None
         with self._lock:
-            dl, d, du, b, mag, mag_head, mask, mask_head, args = (
+            dl, d, du, b, mag, mag_head, absoff, magnitudes, mask, mask_head, args = (
                 self._sizes.get(n) or self._buffers(n)
             )
+            np.abs(diag, out=mag)
+            np.abs(off, out=absoff)
+            if not math.isfinite(_largest(magnitudes)):
+                return None
+            tiny = _pivot_bound(mag, absoff)
             dl[:] = off
             du[:] = off
             d[:] = diag
@@ -257,9 +254,9 @@ def _load_dgtsv():
     if fn is None:
         return _dgtsv
     diag, off, rhs = _self_check_system()
-    tiny = max(float(abs(diag).max()), float(abs(off).max()), 1.0) * 1e-15
     kernel = _Dgtsv(fn)
-    x = kernel.solve(diag, off, abs(off), rhs, tiny)
+    x = kernel.solve(diag, off, rhs)
+    tiny = _pivot_bound(abs(diag), abs(off))
     if x is not None and x.tobytes() == _thomas_loop(diag, off, rhs, tiny).tobytes():
         _dgtsv = kernel
     return _dgtsv

@@ -424,8 +424,8 @@ class ScalarOdeStepper:
             raise ValueError("envelope steepness must match the fraction steepness")
         if not 0.0 <= a_coef < math.inf:
             raise ValueError(f"stiffness a_coef must be non-negative and finite, got {a_coef}")
-        if not tol > 0.0:
-            raise ValueError(f"tol must be positive, got {tol}")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
             raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
         self.closure = closure

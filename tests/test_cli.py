@@ -589,11 +589,11 @@ class TestConvergenceMode:
 
     def test_sweep_memory_does_not_grow_with_the_fine_step(self, tmp_path):
         # the fine run keeps only the states the errors read, one per 0.01;
-        # keeping every fine state grows the peak by about 2 MB from 1e4 to
-        # 1e5 fine steps
+        # keeping every fine state grows the peak by about 0.44 MB from 2e3
+        # to 2e4 fine steps
         def peak(tau_fine):
             cfg = load_config(None, "convergence",
-                              overrides={"T": 1.0, "taus": (0.1, 0.01), "tau_fine": tau_fine})
+                              overrides={"T": 0.2, "taus": (0.1, 0.01), "tau_fine": tau_fine})
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 tracemalloc.start()
@@ -1538,6 +1538,8 @@ class TestModeFlags:
             ["pde", "--max-iter", "0"],
             ["ode-coupled", "--max-iter", "-3"],
             ["convergence", "--tol", "0"],
+            ["pde", "--tol", "inf"],
+            ["ode-coupled", "--tol", "inf"],
         ],
     )
     def test_nonpositive_solver_flag_exits_2(self, argv, tmp_path, capsys):

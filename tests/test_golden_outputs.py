@@ -23,6 +23,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from cryostef.cli import main, simulate_pde
 from cryostef.config import load_config
@@ -170,7 +171,7 @@ def outputs(work_dir, mode, text, *flags):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_keep_their_bytes(case, tmp_path):
-    assert outputs(tmp_path, *CASES[case]) == DIGESTS[case]
+    assert outputs(tmp_path, *CASES[case]) == expected(DIGESTS, DIGESTS_DISPATCH_OFF, case)
 
 
 # numpy picks its exp and log loops by CPU feature at import.  With these
@@ -179,6 +180,26 @@ def test_outputs_keep_their_bytes(case, tmp_path):
 # np.exp, write other bytes; every other case writes its DIGESTS bytes
 # under both, its cosines included
 DISPATCH_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+# the dispatch targets this process runs, and those the two digest sets
+# were recorded under: all of them, and those left with DISPATCH_OFF set
+DISPATCH_TARGETS = tuple(t for t in __cpu_dispatch__ if __cpu_features__[t])
+TARGETS_ON = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+TARGETS_OFF = ("X86_V3",)
+
+
+def expected(digests, digests_off, key):
+    """The recorded digest of ``key`` under this process's dispatch targets.
+
+    A target set without recorded digests fails: its loops may round
+    otherwise, and no digest set would tell a change from them.
+    """
+    if DISPATCH_TARGETS == TARGETS_ON:
+        return digests[key]
+    if DISPATCH_TARGETS == TARGETS_OFF:
+        return digests_off.get(key, digests[key])
+    pytest.fail(f"no digests recorded under numpy dispatch targets {DISPATCH_TARGETS}")
+
+
 DIGESTS_DISPATCH_OFF = {
     "calibrate": {
         "exit": 0,
@@ -254,9 +275,18 @@ REFERENCE_RUN_DIGESTS = {
 }
 
 
+# the same runs under the targets left with DISPATCH_OFF set
+REFERENCE_RUN_DIGESTS_DISPATCH_OFF = {
+    "eq": "c527e8531ffb4e1fdcbbb2583090a160800a5d2ea04615ed3c254e140426ef02",
+    "hyst": "0dc42841cf2260606313109304ae810fbb8e0feab0f372a6de2c26270d806d78",
+    "neq": "b8254a02c99740e3b70122829ff57fa6c966570db7ec2b0c328aa4688c7b582b",
+}
+
+
 @pytest.mark.parametrize("closure", sorted(REFERENCE_RUN_DIGESTS))
 def test_reference_runs_keep_their_bits(closure):
-    assert reference_run_digest(closure) == REFERENCE_RUN_DIGESTS[closure]
+    digest = expected(REFERENCE_RUN_DIGESTS, REFERENCE_RUN_DIGESTS_DISPATCH_OFF, closure)
+    assert reference_run_digest(closure) == digest
 
 
 if __name__ == "__main__":

@@ -143,6 +143,16 @@ class TestThomas:
         with pytest.raises(SingularJacobian, match=f"^{message}$"):
             thomas_solve(diag, np.array(off), np.ones_like(diag))
 
+    def test_off_edited_in_place_between_solves(self):
+        # each solve measures off afresh: after the edit, dgtsv would
+        # interchange rows (|diag| < |off|), so the system goes to the loop
+        diag = np.full(6, 2.0)
+        off = np.full(5, -0.5)
+        rhs = np.linspace(1.0, 2.0, 6)
+        thomas_solve(diag, off, rhs)
+        off *= 8.0
+        assert _bits(thomas_solve(diag, off, rhs)) == _bits(thomas_numpy(diag, off, rhs))
+
 
 def _bits(values):
     # float bit patterns: -0.0 differs from 0.0, and NaN equals itself
@@ -266,7 +276,8 @@ class TestLapackRoute:
     def test_golden_outputs_without_the_library(self, monkeypatch, tmp_path, case):
         monkeypatch.setattr(solve, "_bundled_dgtsv", lambda: None)
         monkeypatch.setattr(solve, "_dgtsv", None)
-        assert golden.outputs(tmp_path, *golden.CASES[case]) == golden.DIGESTS[case]
+        digests = golden.expected(golden.DIGESTS, golden.DIGESTS_DISPATCH_OFF, case)
+        assert golden.outputs(tmp_path, *golden.CASES[case]) == digests
         assert solve._dgtsv is False
 
     def test_fast_kernel_guard_without_the_library(self, monkeypatch):

@@ -382,6 +382,13 @@ def test_positive_guards_reject_nan(build, message):
         build()
 
 
+def test_infinite_solver_tolerance_rejected():
+    # an infinite tolerance accepts every residual: no step would make a
+    # single Newton update
+    with pytest.raises(ValueError, match="tolerance must be positive and finite, got tol=inf"):
+        SolverOptions(tol=math.inf)
+
+
 class TestAdvance:
     def test_stationary_preserved_for_100_steps(self, material):
         g = Grid1D(10)
@@ -912,6 +919,12 @@ class TestScalarOdeStepper:
         # whole budget and report a stall at a residual of rounding size
         with pytest.raises(ValueError, match="tol must be positive"):
             ScalarOdeStepper(Closure.equilibrium(), 1.0, 0.02, tol=tol)
+
+    def test_infinite_tolerance_rejected(self):
+        # such a tolerance accepts every residual: each step would return
+        # its starting value
+        with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+            ScalarOdeStepper(Closure.equilibrium(), 1.0, 0.02, tol=math.inf)
 
     @pytest.mark.parametrize("b", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_steepness_that_is_not_positive_and_finite_rejected(self, b):
