@@ -230,6 +230,9 @@ def _validate(cfg):
         raise ConfigError(f"horizon T={cfg.T} is shorter than one step tau={cfg.tau}")
     if cfg.mode == "pde" and cfg.M < 2:
         raise ConfigError(f"pde mode needs M >= 2, got {cfg.M}")
+    # pde alone reads out_times; a run starts at t = 0, and a time past its end writes nothing
+    if cfg.mode == "pde" and min(cfg.out_times, default=0.0) < 0.0:
+        raise ConfigError(f"key 'out_times': output time {min(cfg.out_times)!r} is negative")
     if cfg.closure not in ("eq", "neq", "hyst"):
         raise ConfigError(f"unknown closure {cfg.closure!r}")
     if cfg.envelope not in ("three-condition", "two-condition"):

@@ -139,22 +139,22 @@ class StepProblem:
     supplied by ``assembler``, kept as ``assemble``, and may be refreshed
     at any iterate, which is what the matrix-lagging outer loop does.
 
-    The pointwise laws, the sensible energy and the stored energy are
-    evaluated once per iterate: the last evaluation is kept with the object
-    it was made at and reused while the same object comes back.  Iterates
-    are therefore never modified in place.  The Jacobian's diagonal and
-    off-diagonal shares of the matrix, tau times its own, are likewise made
-    once per assembly object.
+    One record holds the last iterate seen, by identity: its pointwise laws
+    and its sensible energy, made together since every path that reads one
+    reads the other, and its stored energy, made at the first ``energy``
+    call.  A new iterate replaces the record, so iterates are never
+    modified in place.  The Jacobian's diagonal and off-diagonal shares of
+    the matrix, tau times its own, are made once per assembly object.
 
     ``start``, when given, is the laws and the sensible energy at ``prev.u``
     from an earlier evaluation, as ``advance`` carries them from the step
-    before: the initial guess starts from them, and the right-hand side,
-    the envelope gap's lower curve and the first residual read them.  The
-    carry assumes nothing of a state's ``u`` but its bytes: it keeps a copy
-    of the accepted state's bytes and hands ``start`` to a step only when
-    ``prev.u`` holds them, so a ``u`` edited in place since, or of another
-    dtype, is evaluated afresh.  The laws it keeps refer to that state's
-    ``u`` array, which a step does not modify.
+    before: they fill the record, and the initial guess, the right-hand
+    side, the envelope gap's lower curve and the first residual read them.
+    The carry assumes nothing of a state's ``u`` but its bytes: it keeps a
+    copy of the accepted state's bytes and hands ``start`` to a step only
+    when ``prev.u`` holds them, so a ``u`` edited in place since, or of
+    another dtype, is evaluated afresh.  The laws it keeps refer to that
+    state's ``u`` array, which a step does not modify.
     """
 
     def __init__(self, prev, closure, tau, f_n, material, assembler, start=None):
@@ -165,12 +165,10 @@ class StepProblem:
         self.assemble = assembler
         u0 = self.initial_guess = np.array(prev.u, dtype=float, copy=True)
         # holding each key keeps its id from being reused by another object
-        self._energy_at = self._matrix_at = None
-        if start is None:
-            self._laws_at = self._sensible_at = None
-        else:
+        self._at = self._matrix_at = None
+        if start is not None:
             self._laws, self._sensible = start
-            self._laws_at = self._sensible_at = u0
+            self._at, self._energy = u0, None
         laws = self.laws(u0)
         self.beta = None
         if closure.kind == HYST:
@@ -181,27 +179,27 @@ class StepProblem:
         self.rhs = tau * np.asarray(f_n, dtype=float) + self.sensible_energy(u0) + prev.upsilon
 
     def laws(self, u):
-        """The pointwise laws at ``u``, evaluated once per iterate object."""
-        if u is not self._laws_at:
-            self._laws = PointwiseLaws(u, self._b)
-            self._laws_at = u
+        """The pointwise laws at ``u``; an iterate not yet seen replaces the record."""
+        if u is not self._at:
+            laws = self._laws = PointwiseLaws(u, self._b)
+            self._sensible = laws.capacity_energy(self.material)
+            self._energy = None
+            self._at = u
         return self._laws
 
     def sensible_energy(self, u):
-        """The sensible energy at ``u``, once per iterate object."""
-        if u is not self._sensible_at:
-            self._sensible = self.laws(u).capacity_energy(self.material)
-            self._sensible_at = u
+        """The sensible energy at ``u``, from the record."""
+        self.laws(u)
         return self._sensible
 
     def closure_fraction(self, u):
         return self._update(self.laws(u).fraction)
 
     def energy(self, u):
-        """Sensible energy plus closure fraction at ``u``, once per iterate object."""
-        if u is not self._energy_at:
-            self._energy = self.sensible_energy(u) + self.closure_fraction(u)
-            self._energy_at = u
+        """Sensible energy plus closure fraction at ``u``, once per record."""
+        laws = self.laws(u)
+        if self._energy is None:
+            self._energy = self._sensible + self._update(laws.fraction)
         return self._energy
 
     def residual(self, u, asm):
@@ -311,7 +309,7 @@ def validate_initial_fraction(closure, material, u0, chi0, strict=False):
         bounds = "envelope"
         env = closure.envelope
         lo = np.asarray(env.lower(u0), dtype=float)
-        hi = lo + env.gap(u0)
+        hi = lo + env.gap(u0, lo)
     outside = (chi0 < lo - 1e-12) | (chi0 > hi + 1e-12)
     if np.any(outside):
         j = int(np.argmax(np.maximum(lo - chi0, chi0 - hi)))
@@ -404,12 +402,12 @@ class ScalarOdeStepper:
     ``a_coef`` must be non-negative and finite, so the Newton slope ``1 +
     dchi + tau*a`` is at least 1 and the division never fails.
 
-    A step forms the residual at ``u_prev`` before its loop, and the loop
-    runs while the residual lies outside [-tol, tol]: each pass makes one
-    Newton update, evaluates the fraction at the new iterate in the loop
-    body itself and forms the residual there.  After ``max_iter`` updates
-    whose residual is still outside, the step raises ``NonConvergence``
-    with that residual.
+    A step's Newton loop forms the closure update and the residual at one
+    site, at the top of each pass, starting at ``u_prev``; a residual inside
+    [-tol, tol] ends the step, else the pass makes one Newton update and
+    evaluates the fraction at the new iterate in the loop body itself.
+    After ``max_iter`` updates whose residual is still outside, the step
+    raises ``NonConvergence`` with that residual.
 
     The stepper keeps the fraction ``F(u)`` of the state it last accepted,
     with that float object: a step handed the same object back as
@@ -455,20 +453,24 @@ class ScalarOdeStepper:
             w = 1.0 / (1.0 + tau * self.closure.rate) if self._kinetic else 0.0
             c1 = 1.0 - w
             c0 = w * chi_prev
-            chi = c1 * f + c0
         else:
             # the lower curve at u_prev is f when the steepness agrees
             beta = _envelope_gap(u, env, f if env.b == b else _fraction(u, env.b))
-            s = chi_prev - f
-            # min(max(s, 0.0), beta) without the builtin calls: the same
-            # operand on ties, signed zeros and NaN
-            c = 0.0 if 0.0 > s else s
-            chi = f + (beta if beta < c else c)
-        phi = u + chi + ta * u - g
         tol = self.tol
         max_iter = self.max_iter
         it = 0
-        while not -tol <= phi <= tol:  # NaN stays in the loop
+        while True:
+            if env is None:
+                chi = c1 * f + c0
+            else:
+                s = chi_prev - f
+                # min(max(s, 0.0), beta) without the builtin calls: the same
+                # operand on ties, signed zeros and NaN
+                c = 0.0 if 0.0 > s else s
+                chi = f + (beta if beta < c else c)
+            phi = u + chi + ta * u - g
+            if -tol <= phi <= tol:  # NaN stays in the loop
+                break
             if it == max_iter:
                 raise NonConvergence(
                     f"scalar step stalled at residual {abs(phi):.3e}", residual=abs(phi)
@@ -487,12 +489,5 @@ class ScalarOdeStepper:
             else:
                 z = b * u
                 f = exp(z) if z >= EXP_FLOOR else 0.0
-            if env is None:
-                chi = c1 * f + c0
-            else:
-                s = chi_prev - f
-                c = 0.0 if 0.0 > s else s
-                chi = f + (beta if beta < c else c)
-            phi = u + chi + ta * u - g
         self._accepted_u, self._accepted_f = u, f
         return u, chi, it, abs(phi)

@@ -295,6 +295,7 @@ class TestConfigParsing:
             ("pde", "out_times = ,", 2, "key 'out_times': cannot parse number list"),
             ("pde", "out_times = ,0.5", 2, "key 'out_times': cannot parse number list"),
             ("pde", "out_times = 0.5,", 2, "key 'out_times': cannot parse number list"),
+            ("pde", "T = 0.05\nout_times = -0.004,-1,0.05", 2, "key 'out_times': output time -1.0 is negative"),
             ("convergence", "taus = 0.1,,0.01", 2, "key 'taus': cannot parse number list"),
             ("bogus", "", 2, "unknown mode 'bogus'"),
             ("pde", None, 2, "cannot read config"),

@@ -749,8 +749,12 @@ class TestLawsOncePerIterate:
                 monkeypatch.setattr(stepper, "_carried", (None, None))
             return advance(*args, **kwargs)
 
+        laws = StepProblem.laws
+
         def fresh_laws(self, u):
-            return constitutive.PointwiseLaws(u, self.material.b)
+            # forget the record of the last iterate, so that it is made again
+            self._at = None
+            return laws(self, u)
 
         monkeypatch.setattr(constitutive, "_exp", counting_exp)
         monkeypatch.setattr(cli, "advance", counting_advance)

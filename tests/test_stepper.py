@@ -28,6 +28,7 @@ from cryostef import stepper as stepper_module
 from cryostef.config import load_config
 from cryostef.constitutive import (
     EXP_FLOOR,
+    HysteresisEnvelope,
     PointwiseLaws,
     ScaledMaterial,
     calibrate_envelope,
@@ -650,6 +651,22 @@ class TestInitialFraction:
                 out = validate_initial_fraction(Closure.hysteresis(env), None, theta, 2.0)
             assert _bits([out]) == _bits([top])
 
+    def test_hyst_evaluates_the_lower_curve_once(self, monkeypatch, envelope_ii):
+        # the envelope gap reads the lower curve the check already holds
+        calls = []
+        lower = HysteresisEnvelope.lower
+
+        def counting_lower(env, theta):
+            calls.append(theta)
+            return lower(env, theta)
+
+        monkeypatch.setattr(HysteresisEnvelope, "lower", counting_lower)
+        u0 = np.array([-5.0, -1.0, 0.5])
+        chi0 = np.asarray(equilibrium_fraction(u0, envelope_ii.b))
+        out = validate_initial_fraction(Closure.hysteresis(envelope_ii), None, u0, chi0)
+        assert len(calls) == 1
+        assert _bits(out) == _bits(chi0)
+
 
 class TestScalarOdeStepper:
     def test_matches_vector_machinery(self):
@@ -879,6 +896,26 @@ class TestScalarOdeStepper:
         assert fresh - kept == 111_100 - len(taus)
         for (_, u_k, chi_k), (_, u_f, chi_f) in zip(kept_runs, fresh_runs):
             assert _bits(u_k) == _bits(u_f) and _bits(chi_k) == _bits(chi_f)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the scalar Newton 2-cycles across the kink for neq at b >= 30 and has "
+        "no bracketed rescue yet (ROADMAP item 15)",
+    )
+    def test_steep_kinetic_steps_complete(self):
+        # ode-coupled with closure neq and every other key at its default,
+        # each run ending at the step that stalls: (b, tau, steps)
+        stalled = []
+        for b, tau, steps in ((50.0, 0.1, 1), (30.0, 0.1, 1), (50.0, 0.05, 2)):
+            overrides = {"closure": "neq", "b": b, "tau": tau, "T": steps * tau}
+            cfg = load_config(None, "ode-coupled", overrides=overrides)
+            try:
+                times, _, _ = cli.simulate_ode_coupled(cfg, SolverOptions())
+                assert len(times) == steps + 1
+            except NonConvergence as err:
+                stalled.append((b, tau, err.step, f"{err.residual:.3e}"))
+        assert stalled == []
 
     @pytest.mark.parametrize(
         "env_args", [(1.0, 0.1, -5.0), (1.0, 0.01, -5.0), (0.5, 0.75, -5.0, "two-condition")]
