@@ -217,28 +217,23 @@ def write_pde_outputs(run, out_dir):
     _write_csv(os.path.join(out_dir, "snapshots.csv"), header, _CellRows(snapshot_states, x))
     _write_csv(os.path.join(out_dir, "phase.csv"), header, _CellRows(run.states, x))
 
-    iter_rows = []
-    for n, report in enumerate(run.reports, start=1):
-        iter_rows.append(
-            (
-                n,
-                run.states[n].t,
-                report.outer_iters,
-                report.inner_iters_total,
-                report.residual_history[-1],
-            )
-        )
+    iter_lines = [
+        "%d,%.17g,%d,%d,%.17g\r\n"
+        % (n, run.states[n].t, report.outer_iters, report.inner_iters_total,
+           report.residual_history[-1])
+        for n, report in enumerate(run.reports, start=1)
+    ]
     _write_csv(
         os.path.join(out_dir, "iterations.csv"),
         ("step", "t", "outer", "inner_total", "residual"),
-        iter_rows,
+        iter_lines,
     )
 
     counts = run.inner_counts
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         ("n_min", "n_max", "n_ave"),
-        [(int(counts.min()), int(counts.max()), float(counts.mean()))],
+        ["%d,%d,%.17g\r\n" % (counts.min(), counts.max(), counts.mean())],
     )
 
 
@@ -417,14 +412,17 @@ def convergence_study(cfg, opts, out_dir, strict_init=False):
             )
         rows.append(row)
         prev_tau = tau
-
-    header = ("tau", "err_l1", "err_l2", "err_inf", "order_l1", "order_l2", "order_inf")
-    _write_csv(
-        os.path.join(out_dir, "orders.csv"),
-        header,
-        [tuple(row[k] for k in header) for row in rows],
-    )
+    write_orders(rows, out_dir)
     return rows
+
+
+def write_orders(rows, out_dir):
+    """Write ``convergence_study``'s rows as ``orders.csv``; the first row's orders are empty."""
+    header = ("tau", "err_l1", "err_l2", "err_inf", "order_l1", "order_l2", "order_inf")
+    lines = ["%.17g,%.17g,%.17g,%.17g,,,\r\n" % tuple(rows[0][k] for k in header[:4])]
+    line = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
+    lines += [line % tuple(row[k] for k in header) for row in rows[1:]]
+    _write_csv(os.path.join(out_dir, "orders.csv"), header, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -477,42 +475,30 @@ class _ColumnRows:
             yield (line * n) % tuple(np.stack(block, axis=1).ravel().tolist())
 
 
-def _line_format(kinds):
-    # one %-format for a whole line: text as is, integers and bools as
-    # integers, everything else as a float at %.17g
-    cells = []
-    for kind in kinds:
-        if issubclass(kind, str):
-            cells.append("%s")
-        elif issubclass(kind, (bool, int, np.integer)):
-            cells.append("%d")
-        else:
-            cells.append("%.17g")
-    return ",".join(cells) + "\r\n"
-
-
 def _write_csv(path, header, rows):
     """Write ``header`` and ``rows`` as CSV lines ending in CRLF.
 
-    ``rows`` is a sequence of row tuples, or ``_CellRows`` or
+    ``rows`` is a list of formatted lines, or ``_CellRows`` or
     ``_ColumnRows``, which format their own lines; ``len(rows)`` is the
-    number of lines below the header.  A row tuple is formatted with one
-    %-format string built from its cell types.  Text cells are written
-    unquoted, so they must not hold a comma, a quote or a line break; the
-    program writes only column names and empty cells.  The file's
-    directory, if any, is made.
+    number of lines below the header.  The file's directory, if any, is
+    made.
     """
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        if isinstance(rows, (_CellRows, _ColumnRows)):
-            handle.writelines(rows.text())
-            return
-        for row in rows:
-            row = tuple(row)
-            handle.write(_line_format(map(type, row)) % row)
+        handle.writelines(rows if isinstance(rows, list) else rows.text())
+
+
+def _check_out_dir(out_dir):
+    # the run makes the directory only when it writes: before any step, the
+    # nearest path of it that exists must be a directory
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"output directory {out_dir!r}: {path} is not a directory")
 
 
 def _positive(kind):
@@ -538,10 +524,9 @@ def _build_parser():
     solver = SolverOptions()
     for mode in MODES:
         p = sub.add_parser(mode)
-        # each mode takes only the flags it reads; main() sees the defaults of the rest
-        p.set_defaults(
-            strict_init=False, solver=solver.strategy, tol=solver.tol, max_iter=solver.max_inner
-        )
+        # each mode takes only the flags it reads; main() sees the defaults of the
+        # rest, and no --max-iter leaves the strategy's own budget
+        p.set_defaults(strict_init=False, solver=solver.strategy, tol=solver.tol, max_iter=None)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         if mode != "calibrate":
@@ -559,6 +544,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.mode)
         out_dir = args.out if args.out is not None else cfg.out_dir
+        _check_out_dir(out_dir)
         opts = SolverOptions(tol=args.tol, max_inner=args.max_iter, strategy=args.solver)
         if args.mode == "pde":
             run_pde(cfg, opts, out_dir, strict_init=args.strict_init)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .constitutive import calibrate_envelope
+from .errors import ConfigError, DegenerateCalibration
 
 MODES = ("pde", "ode-coupled", "ode-driven", "calibrate", "convergence")
 
@@ -194,7 +195,7 @@ def load_config(path, mode, overrides=None):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 raw = parse_config_text(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if "mode" in raw:
         if raw["mode"] != mode:
@@ -224,10 +225,12 @@ def _parse_value(key, text):
 
 def _validate(cfg):
     _validate_finite(cfg)
-    if cfg.tau <= 0.0:
-        raise ConfigError(f"tau must be positive, got {cfg.tau}")
-    if cfg.T < cfg.tau:
-        raise ConfigError(f"horizon T={cfg.T} is shorter than one step tau={cfg.tau}")
+    # calibrate runs no steps, and convergence takes its steps from taus and tau_fine
+    if cfg.mode in ("pde", "ode-coupled", "ode-driven"):
+        if cfg.tau <= 0.0:
+            raise ConfigError(f"tau must be positive, got {cfg.tau}")
+        if cfg.T < cfg.tau:
+            raise ConfigError(f"horizon T={cfg.T} is shorter than one step tau={cfg.tau}")
     if cfg.mode == "pde" and cfg.M < 2:
         raise ConfigError(f"pde mode needs M >= 2, got {cfg.M}")
     # pde alone reads out_times; a run starts at t = 0, and a time past its end writes nothing
@@ -257,6 +260,8 @@ def _validate(cfg):
             if stride in strides:
                 raise ConfigError(f"key 'taus': sweep step {tau!r} is listed twice")
             strides.add(stride)
+            if cfg.T < tau:
+                raise ConfigError(f"horizon T={cfg.T} is shorter than one sweep step {tau}")
             whole_steps(cfg.T, tau, "horizon T")
 
 
@@ -324,8 +329,13 @@ def _validate_laws(cfg):
         value = getattr(cfg, key)
         if not value > 0.0:
             raise ConfigError(f"key {key!r} must be positive, got {value!r}")
-    if closure == "hyst" and not cfg.theta0 < 0.0:
-        raise ConfigError(f"key 'theta0' must be negative, got {cfg.theta0!r}")
+    if closure == "hyst":
+        if not cfg.theta0 < 0.0:
+            raise ConfigError(f"key 'theta0' must be negative, got {cfg.theta0!r}")
+        try:
+            calibrate_envelope(cfg.b, cfg.b_bar, cfg.theta0, cfg.envelope)
+        except DegenerateCalibration as exc:
+            raise ConfigError(f"keys 'b_bar' and 'theta0' calibrate no envelope: {exc}") from exc
     # the coupled scalar system's stiffness; with a >= 0 its Newton slope is at least 1
     if cfg.mode in ("ode-coupled", "convergence") and not cfg.a_coef >= 0.0:
         raise ConfigError(f"key 'a_coef' must be non-negative, got {cfg.a_coef!r}")

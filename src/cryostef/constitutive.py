@@ -233,14 +233,14 @@ def calibrate_envelope(b, b_bar, theta0, variant=THREE_CONDITION):
         num = eb - b * theta0 * eb - 1.0
         den = ebb - b_bar * theta0 * ebb - 1.0
         if abs(den) < _CALIBRATION_EPS:
-            raise DegenerateCalibration(f"vanishing calibration denominator {den!r}")
+            raise DegenerateCalibration(f"vanishing calibration denominator {float(den)!r}")
         a = num / den
         C = 1.0 - a
         D = b * eb - a * b_bar * ebb
     elif variant == TWO_CONDITION:
         den = b_bar * ebb
         if abs(den) < _CALIBRATION_EPS:
-            raise DegenerateCalibration(f"vanishing calibration denominator {den!r}")
+            raise DegenerateCalibration(f"vanishing calibration denominator {float(den)!r}")
         a = b * eb / den
         C = eb * (1.0 - b / b_bar)
         D = 0.0

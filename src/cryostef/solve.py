@@ -47,30 +47,37 @@ DIAGNOSTIC_SEED = 0
 SELF_CHECK_ROWS = 64
 
 
+# Each strategy's step budget when none is given: Newton updates of a
+# matrix-lagging step, or fixed-point sweeps.
+DEFAULT_BUDGET = {NEWTON_ALAG: 20, FIXED_POINT: 100}
+
+
 @dataclass
 class SolverOptions:
-    """Tolerance, iteration caps and strategy of the per-step solve.
+    """Tolerance, step budget and strategy of the per-step solve.
 
-    ``max_inner`` is the Newton budget of a whole matrix-lagging step, which
-    also bounds its outer passes; ``max_outer`` bounds the fixed-point
-    sweeps only.
+    ``max_inner`` is the step budget of the strategy that runs: the Newton
+    updates of a whole matrix-lagging step, which also bound its outer
+    passes, or the fixed-point sweeps.  ``None`` takes the strategy's
+    ``DEFAULT_BUDGET``.
     """
 
     tol: float = 1e-8
-    max_inner: int = 20
-    max_outer: int = 100
+    max_inner: int | None = None
     strategy: str = NEWTON_ALAG
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got tol={self.tol}")
-        if self.max_inner < 1 or self.max_outer < 1:
-            raise ValueError("iteration caps must be at least 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown solver strategy {self.strategy!r}; "
                 f"expected one of {', '.join(STRATEGIES)}"
             )
+        if self.max_inner is None:
+            self.max_inner = DEFAULT_BUDGET[self.strategy]
+        if self.max_inner < 1:
+            raise ValueError(f"step budget must be at least 1, got max_inner={self.max_inner}")
 
 
 @dataclass
@@ -353,7 +360,7 @@ def fixed_point_monolithic(problem, opts):
     (a single linear solve when c(u)=u, a short Newton otherwise) with the
     fraction term taken from the previous sweep.  Sweeping stops when
     successive iterates agree to tolerance and the true residual is below
-    tolerance, or after ``max_outer`` sweeps with NonConvergence.
+    tolerance, or after ``max_inner`` sweeps with NonConvergence.
     """
     u = problem.initial_guess
     m = problem.material
@@ -363,7 +370,7 @@ def fixed_point_monolithic(problem, opts):
     inner_total = 0
     # the matrix at each sweep's iterate also gives the true residual that ends the sweep before
     asm = problem.assemble(u)
-    for sweep in range(1, opts.max_outer + 1):
+    for sweep in range(1, opts.max_inner + 1):
         w = problem.rhs - problem.closure_fraction(u) + tau * asm.bc_rhs
         tau_diag, tau_off = tau * asm.diag, tau * asm.off
         u_new, rep = newton_frozen_a(
@@ -382,9 +389,9 @@ def fixed_point_monolithic(problem, opts):
         if diff <= opts.tol and true_norm <= opts.tol:
             return u, StepReport(sweep, inner_total, history, True)
     raise NonConvergence(
-        f"fixed point stalled after {opts.max_outer} sweeps",
+        f"fixed point stalled after {opts.max_inner} sweeps",
         residual=history[-1],
-        report=StepReport(opts.max_outer, inner_total, history, False),
+        report=StepReport(opts.max_inner, inner_total, history, False),
     )
 
 

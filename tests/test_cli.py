@@ -268,6 +268,9 @@ class TestConfigParsing:
             ("calibrate", "closure = neq\nrate = 0"),  # calibrate reads no closure
             ("pde", "a_coef = -1"),  # the scalar system's stiffness
             ("ode-coupled", "a_coef = 0"),
+            ("calibrate", "T = 0"),  # calibrate runs no steps
+            ("calibrate", "tau = -1"),
+            ("convergence", "tau = 100"),  # the sweep takes its steps from taus and tau_fine
         ],
     )
     def test_keys_the_mode_does_not_read_load(self, tmp_path, mode, text):
@@ -299,6 +302,7 @@ class TestConfigParsing:
             ("convergence", "taus = 0.1,,0.01", 2, "key 'taus': cannot parse number list"),
             ("bogus", "", 2, "unknown mode 'bogus'"),
             ("pde", None, 2, "cannot read config"),
+            ("pde", b"# caf\xe9\nT = 0.02", 2, "can't decode byte 0xe9"),  # not UTF-8
             ("calibrate", "mode = calibrate", 0, None),
             ("pde", "T = 0.001", 2, "horizon T=0.001 is shorter than one step"),
             ("pde", "closure = ice", 2, "unknown closure 'ice'"),
@@ -311,6 +315,13 @@ class TestConfigParsing:
             ("convergence", "T = 1\ntaus = 0.1,0", 2, "key 'taus': sweep step 0.0 is not positive"),
             ("convergence", "T = 1\ntaus = 0.1,1e-4", 2, "key 'taus': sweep step 0.0001 is not coarser"),
             ("convergence", "T = 1\ntaus = 0.1,0.01,0.1", 2, "key 'taus': sweep step 0.1 is listed twice"),
+            ("convergence", "T = 0", 2, "horizon T=0.0 is shorter than one sweep step"),
+            # an envelope whose calibration denominator vanishes
+            ("calibrate", "b_bar = 1e-9", 2, "keys 'b_bar' and 'theta0' calibrate no envelope: "
+                                             "vanishing calibration denominator 0.0"),
+            ("ode-driven", "b_bar = 1e-9", 2, "keys 'b_bar' and 'theta0' calibrate no envelope"),
+            ("pde", "closure = hyst\nb_bar = 1e-9", 2, "keys 'b_bar' and 'theta0' calibrate no envelope"),
+            ("calibrate", "theta0 = -1e-300", 2, "keys 'b_bar' and 'theta0' calibrate no envelope"),
             # an expression may use its key's names and the math names only,
             # whether or not the mode reads the key
             ("ode-coupled", "forcing = x + t", 2, "key 'forcing': expression 'x + t' uses unknown name 'x'"),
@@ -327,6 +338,8 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         if text is None:
             path.mkdir()  # a directory cannot be read as a config file
+        elif isinstance(text, bytes):
+            path.write_bytes(text + b"\n")
         else:
             path.write_text(text + "\n")
         if code:
@@ -341,6 +354,17 @@ class TestConfigParsing:
             assert not out.exists()
         else:
             assert out.exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_step(self, tmp_path, capsys,
+                                                                     monkeypatch, out):
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setattr(cli, "advance", None)  # a step would fail with a TypeError
+        assert main(["pde", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'afile'} is not a directory" in err
+        assert len(err.splitlines()) == 1
+        assert (tmp_path / "afile").read_text() == ""
 
 
 class TestCalibrateMode:
@@ -738,6 +762,17 @@ class TestPdeMode:
         cfg = tmp_path / "pde.cfg"
         self.write_small_config(cfg)
         assert main(["pde", "--config", str(cfg), "--out", str(tmp_path), "--max-iter", "1"]) == 3
+
+    def test_max_iter_is_the_fixed_point_sweep_budget(self, tmp_path, capsys):
+        # the two neq steps take 12 and 15 sweeps: a budget of 5 stops the first
+        cfg = tmp_path / "pde.cfg"
+        cfg.write_text("closure = neq\nT = 0.02\n")
+        args = ["pde", "--config", str(cfg), "--solver", "fixed-point"]
+        assert main(args + ["--out", str(tmp_path / "a"), "--max-iter", "5"]) == 3
+        assert "fixed point stalled after 5 sweeps" in capsys.readouterr().err
+        assert main(args + ["--out", str(tmp_path / "b"), "--max-iter", "15"]) == 0
+        _, rows = read_csv(tmp_path / "b" / "iterations.csv")
+        assert [row[2] for row in rows] == ["12", "15"]
 
     def test_config_error_exits_2(self, tmp_path):
         cfg = tmp_path / "pde.cfg"
@@ -1662,46 +1697,90 @@ def _pde_run(states, snapshots):
     return cli.PdeRun(cfg, Grid1D(m), None, None, states, reports, [], [])
 
 
+def _old_cell(value):
+    # the former writer's per-cell rule: text as is, integers as integers,
+    # everything else as a float at 17 significant digits
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def _csv_oracle(header, rows):
+    # the former writer, csv.writer fed the old per-cell rule
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_old_cell(v) for v in row])
+    return out.getvalue().encode("utf-8")
+
+
+@st.composite
+def step_reports(draw):
+    """1 to 5 steps: the state times, and each step's outer and inner counts and last residual."""
+    n_steps = draw(st.integers(1, 5))
+    states = [TimeState(draw(CELL_VALUES), np.zeros(2), np.zeros(2)) for _ in range(n_steps + 1)]
+    reports = [StepReport(draw(st.integers(0, 2**63)), draw(st.integers(0, 10**6)),
+                          [draw(CELL_VALUES)], True) for _ in range(n_steps)]
+    return states, reports
+
+
+@st.composite
+def sweep_rows(draw):
+    """1 to 4 rows as ``convergence_study`` returns them: the first has empty orders."""
+    rows = []
+    for i in range(draw(st.integers(1, 4))):
+        row = dict(zip(("tau", "err_l1", "err_l2", "err_inf"), draw(st.tuples(*[CELL_VALUES] * 4))))
+        orders = ("", "", "") if i == 0 else draw(st.tuples(*[CELL_VALUES] * 3))
+        row.update(zip(("order_l1", "order_l2", "order_inf"), orders))
+        rows.append(row)
+    return rows
+
+
 class TestCsvWriter:
     def test_bytes_match_csv_writer_at_17_digits(self, tmp_path):
-        # the former writer, csv.writer fed the old per-cell rule, is the oracle
-        def old_cell(value):
-            if isinstance(value, str):
-                return value
-            if isinstance(value, (bool, int, np.integer)):
-                return str(int(value))
-            return f"{float(value):.17g}"
-
-        def oracle(header, rows):
-            out = io.StringIO(newline="")
-            writer = csv.writer(out)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([old_cell(v) for v in row])
-            return out.getvalue().encode("utf-8")
-
-        header = ("a", "b", "c", "d")
-        rows = [
-            ("", 3, np.int64(-7), True),
-            (False, 0.1, np.float64(0.1), -0.0),
-            (math.inf, -math.inf, math.nan, 1e-300),
-            (np.float64(-0.0), 5e-324, 1.7976931348623157e308, 2**63),
-            (1.0, 2.5, "", np.int32(12)),
-            (0.1, 0.2, 0.30000000000000004, 123456789.0),
-        ]
-        path = tmp_path / "out.csv"
-        cli._write_csv(path, header, rows)
-        assert path.read_bytes() == oracle(header, rows)
-        assert path.read_bytes().endswith(b"123456789\r\n")
-
         # float columns, written in blocks: none, one, and more rows than one block holds
+        header = ("a", "b", "c")
+        path = tmp_path / "out.csv"
         values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1, -2.5e-7])
         for n_rows in (0, 1, 2 * cli._CSV_BLOCK_ROWS + 5):
             columns = np.random.default_rng(3).choice(values, size=(3, n_rows))
             rows = cli._ColumnRows(*columns)
             assert len(rows) == n_rows
-            cli._write_csv(path, header[:3], rows)
-            assert path.read_bytes() == oracle(header[:3], columns.T), n_rows
+            cli._write_csv(path, header, rows)
+            assert path.read_bytes() == _csv_oracle(header, columns.T), n_rows
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(step_reports(), sweep_rows())
+    @example(
+        ([TimeState(t, np.zeros(2), np.zeros(2)) for t in (0.0, -0.0, 0.1)],
+         [StepReport(2**63, 0, [5e-324], True), StepReport(1, 7, [-0.0], True)]),
+        [dict(tau=0.1, err_l1=1.7976931348623157e308, err_l2=-0.0, err_inf=5e-324,
+              order_l1="", order_l2="", order_inf=""),
+         dict(tau=0.05, err_l1=1e-300, err_l2=math.inf, err_inf=math.nan,
+              order_l1=-0.0, order_l2=5e-324, order_inf=1e300)],
+    )
+    def test_count_and_order_files_match_the_csv_writer_oracle(self, drawn, rows):
+        states, reports = drawn
+        run = replace(_pde_run(states, []), reports=reports)
+        inner = np.array([r.inner_iters_total for r in reports], dtype=float)
+        iterations = [(n, states[n].t, r.outer_iters, r.inner_iters_total, r.residual_history[-1])
+                      for n, r in enumerate(reports, start=1)]
+        summary = [(int(inner.min()), int(inner.max()), float(inner.mean()))]
+        header = ("tau", "err_l1", "err_l2", "err_inf", "order_l1", "order_l2", "order_inf")
+        orders = [tuple(row[k] for k in header) for row in rows]
+        with tempfile.TemporaryDirectory() as out:
+            cli.write_pde_outputs(run, out)
+            cli.write_orders(rows, out)
+            for name, expected in (
+                ("iterations.csv", _csv_oracle(("step", "t", "outer", "inner_total", "residual"), iterations)),
+                ("summary.csv", _csv_oracle(("n_min", "n_max", "n_ave"), summary)),
+                ("orders.csv", _csv_oracle(header, orders)),
+            ):
+                with open(os.path.join(out, name), "rb") as handle:
+                    assert handle.read() == expected, name
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(cell_states())

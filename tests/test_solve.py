@@ -569,7 +569,7 @@ class TestFixedPoint:
             Closure.equilibrium(), unit_material, g,
             (u_prev[0] - 0.2, u_prev[-1] - 0.2), np.zeros(20), 1e-4,
         )
-        ua, _ = fixed_point_monolithic(make_problem(u_prev, ups_prev, *args), SolverOptions(max_outer=400))
+        ua, _ = fixed_point_monolithic(make_problem(u_prev, ups_prev, *args), SolverOptions(max_inner=400))
         ub, _ = double_iteration(make_problem(u_prev, ups_prev, *args), SolverOptions(max_inner=60))
         assert np.max(np.abs(ua - ub)) <= 1e-6
 
@@ -585,7 +585,7 @@ class TestFixedPoint:
             (0.5, -0.5), np.zeros(8), 0.1,
         )
         with pytest.raises(NonConvergence):
-            fixed_point_monolithic(problem, SolverOptions(max_outer=60))
+            fixed_point_monolithic(problem, SolverOptions(max_inner=60))
 
 
 class TestStrategyDispatch:
@@ -608,12 +608,20 @@ class TestStrategyDispatch:
         solutions = []
         for strategy in ("newton-alag", "fixed-point"):
             problem = make_problem(u_prev, ups_prev, *args)
-            opts = SolverOptions(strategy=strategy, max_inner=60, max_outer=4000)
+            opts = SolverOptions(strategy=strategy, max_inner={"newton-alag": 60, "fixed-point": 4000}[strategy])
             u, rep = solve_step(problem, opts)
             assert rep.converged
             solutions.append(u)
         for u in solutions[1:]:
             assert np.max(np.abs(u - solutions[0])) <= 1e-6
+
+    def test_each_strategy_has_its_own_default_budget(self):
+        # 20 Newton updates for the lagged loop, 100 sweeps for the fixed point
+        assert SolverOptions().max_inner == 20
+        assert SolverOptions(strategy="fixed-point").max_inner == 100
+        assert SolverOptions(strategy="fixed-point", max_inner=5).max_inner == 5
+        with pytest.raises(ValueError, match="max_inner=0"):
+            SolverOptions(strategy="fixed-point", max_inner=0)
 
     def test_unknown_strategy_rejected(self, material):
         for strategy in ("bogus", "newton-frozen-a"):

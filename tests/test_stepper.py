@@ -546,7 +546,7 @@ class TestStepCarry:
         # edited in place, is the step taken with nothing kept
         material = ScaledMaterial(b=1.0, c_u=2.94e-2, c_f=2.21e-2, k_u=1.51e-2, k_f=2.06e-2)
         grid = Grid1D(20)
-        opts = SolverOptions(strategy="fixed-point", max_outer=400)
+        opts = SolverOptions(strategy="fixed-point", max_inner=400)
         u0 = np.full(20, -5.0)
         state = TimeState(0.0, u0, np.asarray(equilibrium_fraction(u0, 1.0)))
 
