@@ -41,7 +41,7 @@ from .config import (
 )
 from .constitutive import ScaledMaterial, calibrate_envelope, equilibrium_fraction
 from .errors import ConfigError, CryostefError, InfeasibleState, NonConvergence
-from .grid import Grid1D, assemble
+from .grid import Grid1D
 from .play import drive_play
 from .solve import SolverOptions
 from .stepper import (
@@ -151,14 +151,10 @@ def simulate_pde(cfg, opts, strict_init=False):
 
 
 def _pde_diagnostics(run):
-    # step 1's system, with the source and boundary pair its solve used
-    cfg = run.cfg
-
-    def assembler(u):
-        return assemble(u, run.material, run.grid, *run.bcs[0], cfg.face_average)
-
+    # step 1's system with the source its solve used; the diagnostic reads
+    # its right-hand side and assembles nothing
     problem = StepProblem(
-        run.states[0], run.closure, cfg.tau, run.sources[0], run.material, assembler
+        run.states[0], run.closure, run.cfg.tau, run.sources[0], run.material, None
     )
     return solvers.contraction_diagnostic(problem)
 

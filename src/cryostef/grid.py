@@ -60,13 +60,13 @@ class StiffnessAssembly:
     def matvec(self, x):
         off = self.off
         y = self.diag * x
-        if off.size:
-            # y[:-1] += off*x[1:], then y[1:] += off*x[:-1], written in place
-            head, tail = y[:-1], y[1:]
-            t = off * x[1:]
-            np.add(head, t, out=head)
-            np.multiply(off, x[:-1], out=t)
-            np.add(tail, t, out=tail)
+        # y[:-1] += off*x[1:], then y[1:] += off*x[:-1], written in place;
+        # for one cell every slice is empty and both updates do nothing
+        head, tail = y[:-1], y[1:]
+        t = off * x[1:]
+        np.add(head, t, out=head)
+        np.multiply(off, x[:-1], out=t)
+        np.add(tail, t, out=tail)
         return y
 
     def with_boundary_data(self, ud_left, ud_right):

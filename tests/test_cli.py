@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1394,12 +1395,14 @@ class TestExpressionBlocks:
     # where that gives the per-step bits, and step by step where it may not
 
     # an expression with a block form; a branch that is -0.0 per step; then
-    # truth values read as numbers, which are rejected when compiled
+    # truth values read as numbers, which are rejected when compiled; then
+    # values that are not finite, which the block refuses
     @example(expr="(16 if t < 1 else 4)*cos(pi*t)", tau=1e-3, edge=1, before=30, after=30)
     @example(expr="-(0 if t < 1 else t)", tau=1e-4, edge=1, before=3, after=3)
     @example(expr="(t < 1) + (t < 2)", tau=1e-4, edge=1, before=3, after=3)
     @example(expr="cos((t < 1) if t < 2 else 0.5)", tau=1e-4, edge=1, before=3, after=3)
     @example(expr="(t + 9007199254740992) < 9007199254740993", tau=1e-4, edge=1, before=3, after=3)
+    @example(expr="t + 1e309", tau=1e-4, edge=1, before=3, after=3)
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
         expr=st.recursive(_TIME_LEAVES, _time_expr_nodes, max_leaves=8),
@@ -1410,8 +1413,9 @@ class TestExpressionBlocks:
     )
     def test_block_form_is_the_per_step_function(self, expr, tau, edge, before, after):
         # steps either side of a block edge: the block form is refused, or it
-        # gives every value bit for bit; a block in which some per-step call
-        # raises or warns is refused, and then sampling is the per-step one.
+        # gives every value bit for bit, each finite; a block in which some
+        # per-step call raises or warns is refused, and then sampling is the
+        # per-step one.
         # An expression that reads a truth value as a number, or has a part
         # with no name that cannot be evaluated, has neither form
         edge *= config.BLOCK_STEPS
@@ -1429,6 +1433,7 @@ class TestExpressionBlocks:
         if len(expected) < len(times) or expected_warnings:
             assert values is None, expr
         elif values is not None:
+            assert np.isfinite(values).all(), expr
             assert [v.hex() for v in values.tolist()] == expected, expr
         sample = functools.partial(config.sample_times, cli._time_expr_fn(expr, None))
         assert _sampled(sample, times) == (expected, expected_warnings), expr
@@ -1789,12 +1794,26 @@ class TestCsvWriter:
         states, snapshots = drawn
         run = _pde_run(states, snapshots)
         x = run.grid.centers
-        with tempfile.TemporaryDirectory() as out:
+        # the length of the rows each file is given, which the benchmark's
+        # row count reads, is the number of lines below its header
+        lengths = {}
+        write_csv = cli._write_csv
+
+        def recording_write_csv(path, header, rows):
+            lengths[os.path.basename(path)] = len(rows)
+            write_csv(path, header, rows)
+
+        with mock.patch.object(cli, "_write_csv", recording_write_csv), \
+                tempfile.TemporaryDirectory() as out:
             cli.write_pde_outputs(run, out)
             with open(os.path.join(out, "snapshots.csv"), "rb") as handle:
                 assert handle.read() == cell_csv_bytes([states[n] for n in snapshots], x)
             with open(os.path.join(out, "phase.csv"), "rb") as handle:
                 assert handle.read() == cell_csv_bytes(states, x)
+            assert sorted(lengths) == ["iterations.csv", "phase.csv", "snapshots.csv", "summary.csv"]
+            for name, n_rows in lengths.items():
+                with open(os.path.join(out, name), "rb") as handle:
+                    assert handle.read().count(b"\r\n") == 1 + n_rows, name
 
     def test_cell_files_are_written_one_state_at_a_time(self, tmp_path):
         # the writer's peak does not grow with the number of states; a copy

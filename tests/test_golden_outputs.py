@@ -6,8 +6,16 @@ its stderr when it wrote any, of the messages of the warnings it raised
 when it raised any, and of every file it writes with the digests recorded
 below.  The runs that fail pin their failure message, counts
 included.  A change that moves any output bit fails here; a change
-meant to move outputs re-records them (run this file as a script to print
-the digests of the current tree) and says why in CHANGES.md.
+meant to move outputs re-records them and says why in CHANGES.md.  Run
+this file as a script to print the ``DIGESTS`` entries of the current
+tree, of every case or of the cases named::
+
+    PYTHONPATH=src python tests/test_golden_outputs.py [case ...]
+
+and with numpy's AVX-512 dispatch targets off to print the digests that
+``DIGESTS_DISPATCH_OFF`` records where they differ from ``DIGESTS``::
+
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
 import ast
@@ -105,7 +113,7 @@ DIGESTS = {
     },
     "pde-eq": {
         "exit": 0,
-        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "stdout": "a2f2d6546145d8be27af22e7eed1a06716baab5fc1f87d5af857c446f12549c1",
         "iterations.csv": "a14eafeded39c114e1dfbaa303a8d647f179573a18f0094214105606bf9a7a37",
         "phase.csv": "78e1ece67cf7cce5054b4089f137607b6b3b95b042c344de3b058dc7b4f527f2",
         "snapshots.csv": "1bad7735291755444cf8553f8a1cb4b1a67058604c5b919702e7a1258a1d9b33",
@@ -118,7 +126,7 @@ DIGESTS = {
     },
     "pde-hyst": {
         "exit": 0,
-        "stdout": "faf395614738ba0029825d790e6d695c511b4c693e410398503b9ce2af58208b",
+        "stdout": "056f63042f8b8fccae530627d9ac698b869476e221683271d8252442bfafb16e",
         "iterations.csv": "2d4430e3e662d4e282d8f5107ef8eba978f4fba6100c99e1f2a27f982af3c02d",
         "phase.csv": "7f86ca5c21c3db595256ba3aac4310aab99259f8f11a933690feae3a37bbb37f",
         "snapshots.csv": "8db6ecb00239ed451a728c013c1c8ad52e6fc2c1b60b1eb2db3b816cd3e6afba",
@@ -131,7 +139,7 @@ DIGESTS = {
     },
     "pde-neq": {
         "exit": 0,
-        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "stdout": "a2f2d6546145d8be27af22e7eed1a06716baab5fc1f87d5af857c446f12549c1",
         "iterations.csv": "523e4b5ee0ed1c6963d611727cf00541aa6773a59973a745b4697e239b5d4cce",
         "phase.csv": "0dd3d2eac08878ac0f86066d2007628d22b1cff4cf714888976e5a6bd3dd1344",
         "snapshots.csv": "541ac5ed067d23b16776a2976aa1a4bad6cb219c725698d555b98ca553137af5",
@@ -208,7 +216,7 @@ DIGESTS_DISPATCH_OFF = {
     },
     "pde-eq": {
         "exit": 0,
-        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "stdout": "a2f2d6546145d8be27af22e7eed1a06716baab5fc1f87d5af857c446f12549c1",
         "iterations.csv": "ef287a9bce87156bff69d6ed0859fc3cb4e13595f941dd3af7c646668a2f9f28",
         "phase.csv": "2107346968583b6b841259a30c3c6cf0884e82ea320ae5b52587160aacc866f9",
         "snapshots.csv": "8ffc24fe97ca59697e7fcaad391cff478b9dd2d635ce82bee085b0aab7d3819b",
@@ -216,7 +224,7 @@ DIGESTS_DISPATCH_OFF = {
     },
     "pde-hyst": {
         "exit": 0,
-        "stdout": "faf395614738ba0029825d790e6d695c511b4c693e410398503b9ce2af58208b",
+        "stdout": "056f63042f8b8fccae530627d9ac698b869476e221683271d8252442bfafb16e",
         "iterations.csv": "8ca426c8200d1400d3c9c08715910f2be82a43264b647302d612b6088f05af38",
         "phase.csv": "d902666d30af5542860c590cb09dedac3e7b2e16d455a22abaa45103a0ab5b37",
         "snapshots.csv": "b539d2b3bdd6b46e161cc92ce036ced9acb02a24ed518df2081606c35775c4ca",
@@ -224,7 +232,7 @@ DIGESTS_DISPATCH_OFF = {
     },
     "pde-neq": {
         "exit": 0,
-        "stdout": "1144d0cf0d167bf839f0d0cf9e80368ea693c27ef5b2c55e71f9b59b0e49cf99",
+        "stdout": "a2f2d6546145d8be27af22e7eed1a06716baab5fc1f87d5af857c446f12549c1",
         "iterations.csv": "7033a7b3ff4a42873d51f044acf9959bdc123f4530e0d3ef5f8843265eefeabd",
         "phase.csv": "b6d55c5478ee7a5f8c8f21bb740c6a1b21961f02deeb79120ebbb0462cece9c1",
         "snapshots.csv": "44ef174d7c6f32a31d75a7c583713c8326231cbfd181ef6f4e4157a6ccbda7a1",

@@ -36,6 +36,10 @@ def make_problem(u_prev, ups_prev, closure, material, grid, ud, f_n, tau):
     return StepProblem(prev, closure, tau, np.asarray(f_n, float), material, assembler)
 
 
+def dense(asm):
+    return np.diag(asm.diag) + np.diag(asm.off, 1) + np.diag(asm.off, -1)
+
+
 def tridiag_matvec(diag, off, x):
     return StiffnessAssembly(diag, off, np.zeros_like(x)).matvec(x)
 
@@ -622,6 +626,10 @@ class TestStrategyDispatch:
         assert SolverOptions(strategy="fixed-point", max_inner=5).max_inner == 5
         with pytest.raises(ValueError, match="max_inner=0"):
             SolverOptions(strategy="fixed-point", max_inner=0)
+        # a fractional budget would run ceil(2.5) updates, or fail in range()
+        for strategy in solve.STRATEGIES:
+            with pytest.raises(ValueError, match="max_inner=2.5"):
+                SolverOptions(strategy=strategy, max_inner=2.5)
 
     def test_unknown_strategy_rejected(self, material):
         for strategy in ("bogus", "newton-frozen-a"):
@@ -647,11 +655,68 @@ class TestContractionDiagnostic:
             u_prev, equilibrium_fraction(u_prev, 1.0), Closure.equilibrium(),
             unit_material, g, (0.0, 0.0), np.zeros(8), 0.1,
         )
-        # both assemblies of every probe give the same matrix
+        # the matrix does not depend on the state
         diag = contraction_diagnostic(problem)
         assert diag["lipschitz_estimate"] == 0.0
         assert diag["alag_bound"] == 0.0
         assert diag["coercivity_estimate"] > 0.0
+
+    @pytest.mark.parametrize("cells", [2, 3, 10, 100])
+    def test_coercivity_is_the_constant_conductivity_eigenvalue(self, cells):
+        # with one conductivity every transmissibility is k times the unit
+        # stencil's, so kappa0 is the matrix's smallest eigenvalue
+        m = ScaledMaterial(b=1.0, c_u=1.0, c_f=1.0, k_u=0.3, k_f=0.3)
+        g = Grid1D(cells)
+        u = np.linspace(-3.0, 1.0, cells)
+        problem = make_problem(
+            u, equilibrium_fraction(u, 1.0), Closure.equilibrium(), m, g, (0.0, 0.0),
+            np.zeros(cells), 0.1,
+        )
+        kappa = contraction_diagnostic(problem)["coercivity_estimate"]
+        smallest = np.linalg.eigvalsh(dense(assemble(u, m, g, 0.0, 0.0)))[0]
+        assert kappa == pytest.approx(smallest, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("face_average", ["harmonic", "arithmetic"])
+    @pytest.mark.parametrize("cells", [5, 20])
+    def test_constants_bound_every_state(self, material, rng, cells, face_average):
+        # kappa0 <= lambda_min(A(u)) and ||(A(u) - A(v)) xi|| <= L_A ||u - v|| ||xi||
+        # for cell-wise random states across the kink, near or far apart
+        g = Grid1D(cells)
+        u0 = rng.uniform(-3.0, 1.0, size=cells)
+        problem = make_problem(
+            u0, equilibrium_fraction(u0, material.b), Closure.equilibrium(), material, g,
+            (1.0, -1.0), np.zeros(cells), 0.01,
+        )
+        diag = contraction_diagnostic(problem)
+        kappa, lipschitz = diag["coercivity_estimate"], diag["lipschitz_estimate"]
+
+        def matrix(u):
+            return dense(assemble(u, material, g, 1.0, -1.0, face_average))
+
+        for _ in range(100):
+            u = rng.uniform(-4.0, 2.0, size=cells)
+            v = u + rng.uniform(-1.0, 1.0) * rng.standard_normal(cells)
+            a_u = matrix(u)
+            assert kappa <= np.linalg.eigvalsh(a_u)[0] * (1.0 + 1e-12)
+            xi = rng.standard_normal(cells)
+            change = np.linalg.norm((a_u - matrix(v)) @ xi)
+            assert change <= lipschitz * np.linalg.norm(u - v) * np.linalg.norm(xi)
+
+    def test_assembles_nothing(self, material):
+        # a problem whose assembler raises still gets its diagnostic
+        g = Grid1D(10)
+        u = np.linspace(-3.0, 1.0, 10)
+        problem = make_problem(
+            u, equilibrium_fraction(u, material.b), Closure.equilibrium(), material, g,
+            (1.0, -1.0), np.zeros(10), 0.01,
+        )
+
+        def refuse(u):
+            raise AssertionError("the diagnostic assembled a matrix")
+
+        expected = contraction_diagnostic(problem)
+        problem.assemble = refuse
+        assert contraction_diagnostic(problem) == expected
 
     def test_vanishing_tau_limits(self, material, rng):
         g = Grid1D(8)
@@ -683,13 +748,13 @@ class TestContractionDiagnostic:
     @pytest.mark.parametrize("closure", ["eq", "hyst"])
     def test_printed_values_keep_their_bits(self, closure):
         # the default pde run's four printed numbers, bit for bit: a change
-        # to the estimates changes stdout and must update this record
+        # to the bounds changes stdout and must update this record
         cfg = load_config(None, "pde", overrides={"closure": closure, "T": 0.01})
         diag = cli._pde_diagnostics(cli.simulate_pde(cfg, SolverOptions()))
-        assert diag["lipschitz_estimate"] == 0.991740649249698
-        assert diag["coercivity_estimate"] == 355.4374394210187
-        assert diag["alag_bound"] == 0.002417367617598426
-        assert diag["fixed_point_bound"] == 0.46791402706348145
+        assert diag["lipschitz_estimate"] == 293.00881136768425
+        assert diag["coercivity_estimate"] == 0.14901876954906976
+        assert diag["alag_bound"] == 3.247934758548208
+        assert diag["fixed_point_bound"] == 8.280651839035036
 
 
 class TestFastKernelGuard:
