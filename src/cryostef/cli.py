@@ -174,8 +174,8 @@ def run_pde(cfg, opts, out_dir, strict_init=False):
 class _CellRows:
     """The (t, x, u, chi) row of every cell of each state, one row per cell.
 
-    Its length is the number of rows; ``text()`` formats them one state at
-    a time, so no copy of the states is made.  Each x is formatted once
+    Its length is the number of rows; iterating it formats them one state
+    at a time, so no copy of the states is made.  Each x is formatted once
     into a line template and each t once per state, so only u and chi are
     formatted per cell.
     """
@@ -187,7 +187,7 @@ class _CellRows:
     def __len__(self):
         return len(self.states) * len(self.x)
 
-    def text(self):
+    def __iter__(self):
         """The lines of each state in turn, one string per state."""
         m = len(self.x)
         template = "".join("%%s,%.17g,%%.17g,%%.17g\r\n" % x for x in self.x)
@@ -346,6 +346,9 @@ def run_ode_driven(cfg, opts, out_dir, strict_init=False):
 # ---------------------------------------------------------------------------
 # Convergence study
 
+# the norms of the sweep's errors and orders, in the order of their columns
+_NORMS = ("l1", "l2", "inf")
+
 
 def trajectory_errors(coarse, fine, tau_coarse, tau_fine):
     """Weighted 1-, 2-, and max-norm distances between two runs.
@@ -392,22 +395,16 @@ def convergence_study(cfg, opts, out_dir, strict_init=False):
     errors = {tau: trajectory_errors(runs[tau], (u, chi), tau, keep * cfg.tau_fine) for tau in taus}
 
     rows = []
-    prev_tau = None
-    for tau in taus:
+    for prev_tau, tau in zip((None, *taus), taus):
         err = errors[tau]
-        row = {"tau": tau, "err_l1": err["l1"], "err_l2": err["l2"], "err_inf": err["inf"]}
+        row = {"tau": tau, **{f"err_{norm}": err[norm] for norm in _NORMS}}
         if prev_tau is None:
-            row.update(order_l1="", order_l2="", order_inf="")
+            row.update((f"order_{norm}", "") for norm in _NORMS)
         else:
-            prev = errors[prev_tau]
-            ratio = np.log(prev_tau / tau)
-            row.update(
-                order_l1=float(np.log(prev["l1"] / err["l1"]) / ratio),
-                order_l2=float(np.log(prev["l2"] / err["l2"]) / ratio),
-                order_inf=float(np.log(prev["inf"] / err["inf"]) / ratio),
-            )
+            prev, ratio = errors[prev_tau], np.log(prev_tau / tau)
+            for norm in _NORMS:
+                row[f"order_{norm}"] = float(np.log(prev[norm] / err[norm]) / ratio)
         rows.append(row)
-        prev_tau = tau
     write_orders(rows, out_dir)
     return rows
 
@@ -448,7 +445,7 @@ _CSV_BLOCK_ROWS = 1024
 class _ColumnRows:
     """The rows of equal-length float columns, each cell at ``%.17g``.
 
-    Its length is the number of rows; ``text()`` formats them a block of
+    Its length is the number of rows; iterating it formats them a block of
     ``_CSV_BLOCK_ROWS`` rows at a time, so only one block of the columns is
     copied at once.
     """
@@ -459,7 +456,7 @@ class _ColumnRows:
     def __len__(self):
         return len(self.columns[0])
 
-    def text(self):
+    def __iter__(self):
         """The lines of each block of rows in turn, one string per block."""
         line = ",".join(["%.17g"] * len(self.columns)) + "\r\n"
         for i in range(0, len(self), _CSV_BLOCK_ROWS):
@@ -474,17 +471,16 @@ class _ColumnRows:
 def _write_csv(path, header, rows):
     """Write ``header`` and ``rows`` as CSV lines ending in CRLF.
 
-    ``rows`` is a list of formatted lines, or ``_CellRows`` or
-    ``_ColumnRows``, which format their own lines; ``len(rows)`` is the
-    number of lines below the header.  The file's directory, if any, is
-    made.
+    ``rows`` is a sized iterable of formatted text, such as a list of
+    lines, ``_CellRows`` or ``_ColumnRows``; ``len(rows)`` is the number of
+    lines below the header.  The file's directory, if any, is made.
     """
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(rows if isinstance(rows, list) else rows.text())
+        handle.writelines(rows)
 
 
 def _check_out_dir(out_dir):
@@ -524,7 +520,7 @@ def _build_parser():
         # rest, and no --max-iter leaves the strategy's own budget
         p.set_defaults(strict_init=False, solver=solver.strategy, tol=solver.tol, max_iter=None)
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--out", default=None, help="output directory (default from config)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         if mode != "calibrate":
             p.add_argument("--strict-init", action="store_true", help="reject infeasible initial data")
         if mode == "pde":
@@ -539,19 +535,18 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.mode)
-        out_dir = args.out if args.out is not None else cfg.out_dir
-        _check_out_dir(out_dir)
+        _check_out_dir(args.out)
         opts = SolverOptions(tol=args.tol, max_inner=args.max_iter, strategy=args.solver)
         if args.mode == "pde":
-            run_pde(cfg, opts, out_dir, strict_init=args.strict_init)
+            run_pde(cfg, opts, args.out, strict_init=args.strict_init)
         elif args.mode == "ode-coupled":
-            run_ode_coupled(cfg, opts, out_dir, strict_init=args.strict_init)
+            run_ode_coupled(cfg, opts, args.out, strict_init=args.strict_init)
         elif args.mode == "ode-driven":
-            run_ode_driven(cfg, opts, out_dir, strict_init=args.strict_init)
+            run_ode_driven(cfg, opts, args.out, strict_init=args.strict_init)
         elif args.mode == "calibrate":
-            run_calibrate(cfg, out_dir)
+            run_calibrate(cfg, args.out)
         else:
-            convergence_study(cfg, opts, out_dir, strict_init=args.strict_init)
+            convergence_study(cfg, opts, args.out, strict_init=args.strict_init)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

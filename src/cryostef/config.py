@@ -130,7 +130,6 @@ class RunConfig:
     # convergence sweep
     taus: tuple = (0.1, 0.01, 0.001)
     tau_fine: float = 1e-4
-    out_dir: str = "out"
 
 
 # the convergence sweep runs the ode-coupled reference at several steps
@@ -341,12 +340,23 @@ def _validate_laws(cfg):
         raise ConfigError(f"key 'a_coef' must be non-negative, got {cfg.a_coef!r}")
 
 
-# the syntax an expression may use; attributes, subscripts, lambdas, comprehensions,
-# assignments, unpacking and text, which could reach past the namespace, are not in it
+# the syntax an expression may use: no attribute, subscript, lambda, comprehension, assignment,
+# unpacking or text, which could reach past the namespace, and no operator a float cannot take
 _EXPR_NODES = (
     ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.IfExp, ast.BinOp, ast.UnaryOp,
-    ast.BoolOp, ast.Compare, ast.operator, ast.unaryop, ast.boolop, ast.cmpop,
+    ast.BoolOp, ast.Compare, ast.boolop, ast.cmpop,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.UAdd, ast.USub, ast.Not,
 )
+
+
+def _syntax_name(node):
+    # what an expression may not use, as its text: a bare operator unparses
+    # to nothing, so it is unparsed between blank operands
+    if isinstance(node, ast.unaryop):
+        return "the operator " + ast.unparse(ast.UnaryOp(node, ast.Name(""))).strip()
+    if isinstance(node, ast.operator):
+        return "the operator " + ast.unparse(ast.BinOp(ast.Name(""), node, ast.Name(""))).strip()
+    return f"{type(node).__name__} {ast.unparse(node)}"
 
 
 @functools.lru_cache(maxsize=256)
@@ -362,8 +372,7 @@ def _compile_expression(expr):
     for node in ast.walk(tree):
         other = isinstance(node, ast.Constant) and type(node.value) not in (int, float)
         if other or not isinstance(node, _EXPR_NODES) or getattr(node, "id", "").startswith("_"):
-            what = f"{type(node).__name__} {ast.unparse(node)}"
-            raise ConfigError(f"expression {expr!r} may not use {what}")
+            raise ConfigError(f"expression {expr!r} may not use {_syntax_name(node)}")
     conditions = set()  # the nodes whose value is read as a truth value
     for node in ast.walk(tree):  # each node after its parent
         name = getattr(getattr(node, "func", None), "id", None)

@@ -34,10 +34,6 @@ import numpy as np
 from .errors import NonConvergence, SingularJacobian
 from .grid import Grid1D
 
-NEWTON_ALAG = "newton-alag"
-FIXED_POINT = "fixed-point"
-STRATEGIES = (NEWTON_ALAG, FIXED_POINT)
-
 # Saturation value of the fraction term, used in the fixed-point contraction bound.
 FRACTION_SUP = 1.0
 
@@ -45,24 +41,25 @@ FRACTION_SUP = 1.0
 SELF_CHECK_ROWS = 64
 
 
-# Each strategy's step budget when none is given: Newton updates of a
-# matrix-lagging step, or fixed-point sweeps.
-DEFAULT_BUDGET = {NEWTON_ALAG: 20, FIXED_POINT: 100}
+# The strategies, each with its step budget when none is given: Newton
+# updates of a matrix-lagging step, or fixed-point sweeps.
+DEFAULT_BUDGET = {"newton-alag": 20, "fixed-point": 100}
+STRATEGIES = tuple(DEFAULT_BUDGET)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Tolerance, step budget and strategy of the per-step solve.
 
     ``max_inner`` is the step budget of the strategy that runs: the Newton
     updates of a whole matrix-lagging step, which also bound its outer
     passes, or the fixed-point sweeps.  ``None`` takes the strategy's
-    ``DEFAULT_BUDGET``.
+    ``DEFAULT_BUDGET``.  Frozen, so the checks at construction always hold.
     """
 
     tol: float = 1e-8
     max_inner: int | None = None
-    strategy: str = NEWTON_ALAG
+    strategy: str = "newton-alag"
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
@@ -73,7 +70,7 @@ class SolverOptions:
                 f"expected one of {', '.join(STRATEGIES)}"
             )
         if self.max_inner is None:
-            self.max_inner = DEFAULT_BUDGET[self.strategy]
+            object.__setattr__(self, "max_inner", DEFAULT_BUDGET[self.strategy])
         if not isinstance(self.max_inner, numbers.Integral) or self.max_inner < 1:
             raise ValueError(
                 f"step budget must be an integer of at least 1, got max_inner={self.max_inner!r}"
@@ -397,11 +394,9 @@ def fixed_point_monolithic(problem, opts):
 
 def solve_step(problem, opts):
     """Dispatch one implicit step to the configured strategy."""
-    if opts.strategy == NEWTON_ALAG:
-        return double_iteration(problem, opts)
-    if opts.strategy == FIXED_POINT:
+    if opts.strategy == "fixed-point":
         return fixed_point_monolithic(problem, opts)
-    raise ValueError(f"unknown solver strategy {opts.strategy!r}")
+    return double_iteration(problem, opts)
 
 
 def contraction_diagnostic(problem):

@@ -1,6 +1,7 @@
 """The statistics ``tools/bench_pairs.py`` writes into the BENCH files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,18 @@ def test_fewer_than_five_pairs_refused(pairs_arg, capsys):
         bench_pairs.main(argv)
     assert info.value.code == 2
     assert "at least 5 pairs" in capsys.readouterr().err
+
+
+def test_workloads_default_to_the_declared_ones():
+    argv = ["--parent", "HEAD", "--out-parent", "p.json", "--out-change", "c.json"]
+    spec = {"workloads": [{"name": "a"}, {"name": "b"}]}
+    assert bench_pairs.parse_args(argv, spec).workload == ["a", "b"]
+    assert bench_pairs.parse_args(argv + ["--workload", "b"], spec).workload == ["b"]
+    # the benchmark's own declaration
+    declared = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bench_pairs.parse_args(argv, declared).workload == [
+        "pde-reference", "ode-sweep", "ode-long"
+    ]
 
 
 def test_malloc_variables_recorded():

@@ -38,7 +38,7 @@ from cryostef.config import (
     parse_schedule,
 )
 from cryostef.constitutive import calibrate_envelope, equilibrium_fraction
-from cryostef.errors import ConfigError, NonConvergence
+from cryostef.errors import ConfigError, NonConvergence, SingularJacobian
 from cryostef.grid import Grid1D
 from cryostef.play import drive_play
 from cryostef.solve import SolverOptions, StepReport
@@ -85,6 +85,10 @@ class TestConfigParsing:
     def test_schedule_must_increase(self):
         with pytest.raises(ConfigError):
             parse_schedule("(0,1),(0,2)")
+
+    def test_schedule_needs_a_breakpoint(self):
+        with pytest.raises(ConfigError, match="schedule needs at least one breakpoint"):
+            PiecewiseLinearSchedule(())
 
     @pytest.mark.parametrize(
         "text", ["(0,5),(1", "5, (1,5)", "(0,5),(1,5) garbage", "(0,5)(1,-5)", "(0,5),,(1,5)", "(0,5),"]
@@ -333,6 +337,17 @@ class TestConfigParsing:
             ("pde", "chi_init = F(t)", 2, "key 'chi_init': expression 'F(t)' uses unknown name 't'"),
             ("ode-driven", "drive = 8*cos(pi*u0)", 2, "key 'drive': expression '8*cos(pi*u0)' uses unknown name 'u0'"),
             ("calibrate", "u_init = open(x)", 2, "key 'u_init': expression 'open(x)' uses unknown name 'open'"),
+            # operators that no float takes, rejected before any step
+            ("pde", "source = t << 2", 2, "key 'source': expression 't << 2' may not use the operator <<"),
+            ("pde", "u_init = x << 2", 2, "key 'u_init': expression 'x << 2' may not use the operator <<"),
+            ("pde", "source = t >> 2", 2, "key 'source': expression 't >> 2' may not use the operator >>"),
+            ("ode-coupled", "forcing = t & 1", 2, "key 'forcing': expression 't & 1' may not use the operator &"),
+            ("ode-driven", "drive = t | 1", 2, "key 'drive': expression 't | 1' may not use the operator |"),
+            ("pde", "chi_init = u0 ^ 1", 2, "key 'chi_init': expression 'u0 ^ 1' may not use the operator ^"),
+            ("pde", "u_init = x @ x", 2, "key 'u_init': expression 'x @ x' may not use the operator @"),
+            ("convergence", "forcing = ~t", 2, "key 'forcing': expression '~t' may not use the operator ~"),
+            # the output directory is --out alone
+            ("pde", "out_dir = x", 2, "unknown key 'out_dir'"),
         ],
     )
     def test_config_errors_exit_2_naming_the_key(self, tmp_path, capsys, mode, text, code, named):
@@ -1590,6 +1605,25 @@ class TestModeFlags:
         assert f"argument {argv[1]}: must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, kind, text",
+        [(["pde", "--tol", "abc"], "float", "abc"), (["ode-coupled", "--max-iter", "2.5"], "int", "2.5")],
+    )
+    def test_solver_flag_that_is_not_a_number_exits_2(self, argv, kind, text, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert f"argument {argv[1]}: invalid {kind} value: {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_package_error_exits_1(self, monkeypatch, tmp_path, capsys):
+        # an error outside the config, convergence and initial-data kinds
+        def fail(*args, **kwargs):
+            raise SingularJacobian("pivot 0.0 collapsed at row 3")
+
+        monkeypatch.setattr(cli, "run_pde", fail)
+        assert main(["pde", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: pivot 0.0 collapsed at row 3\n"
 
     @pytest.mark.parametrize(
         "mode, runner",

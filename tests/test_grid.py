@@ -48,6 +48,10 @@ class TestAssemble:
         assert np.allclose(asm.bc_rhs, [0.0, 0.0])
         assert asm.boundary == (8.0, 8.0)
 
+    def test_unknown_face_average_rejected(self, unit_material):
+        with pytest.raises(ValueError, match="unknown face averaging 'median'"):
+            assemble(np.zeros(4), unit_material, Grid1D(4), 0.0, 0.0, face_average="median")
+
     def test_boundary_data_in_rhs(self, unit_material):
         g = Grid1D(4)
         asm = assemble(np.full(4, 2.0), unit_material, g, 3.0, -1.0)

@@ -137,6 +137,10 @@ class TestDrivePlay:
             assert f_u - 1e-14 <= chi <= f_u + beta + 1e-14
             u_prev = u
 
+    def test_horizon_under_half_a_step_rejected(self, envelope_ii):
+        with pytest.raises(ValueError, match="horizon 0.04 shorter than one step 0.1"):
+            drive_play(lambda t: -1.0, envelope_ii, 0.1, 0.04, 0.5)
+
     def test_strict_infeasible_start_raises(self, envelope_ii):
         with pytest.raises(InfeasibleState):
             drive_play(lambda t: -5.0, envelope_ii, 0.1, 1.0, 0.9, strict=True)

@@ -1,8 +1,10 @@
 """Paired benchmark timings of a parent revision against the working tree.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 \\
-        --workload ode-sweep ode-long pde-reference \\
         --out-parent BENCH_0.json --out-change BENCH_1.json
+
+``--workload`` names the workloads to run, by default every workload
+that ``BENCHMARK.json`` declares.
 
 The committed files of ``--parent`` are extracted with ``git archive``,
 and the working tree's files (tracked or not ignored, as they are on
@@ -222,18 +224,26 @@ def layout_medians(side, pairs):
     }
 
 
-def main(argv=None):
+def parse_args(argv, spec):
+    """The command line, ``--workload`` defaulting to the workloads ``spec`` declares."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision measured against the working tree")
-    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument(
+        "--workload", nargs="+", default=[w["name"] for w in spec["workloads"]],
+        help="workloads to run (default: every workload of BENCHMARK.json)",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out-parent", required=True)
     parser.add_argument("--out-change", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 5:
         parser.error("at least 5 pairs are needed for a median and quartiles worth reporting")
+    return args
 
+
+def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    args = parse_args(argv, spec)
     seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     head_sha = git("rev-parse", "HEAD")
